@@ -16,7 +16,6 @@ from jacobi_walk import (
     simulate_trajectory,
     step_coefficients,
     step_distribution_exact,
-    urn_step_probabilities,
 )
 
 params = ModelParams(alpha=1, beta=2)
@@ -25,12 +24,14 @@ print()
 
 # Route one: the recurrence x*Q_n = up*Q_{n+1} + stay*Q_n + down*Q_{n-1}.
 # Route two: draw a ball from the main urn, consult the side urn for the
-# drawn colour, move up or down on a match, stay otherwise.
+# drawn colour, move up or down on a match, stay otherwise.  Enumerating
+# every (main ball, side ball) outcome of that experiment and adding up the
+# cells gives the same law without looking at the recurrence.
 print("state   up (recurrence/urn)      stay                    down")
 for n in range(6):
     rec = step_coefficients(n, params, "exact")
-    urn = urn_step_probabilities(n, params, "exact")
-    assert (rec.up, rec.stay, rec.down) == (urn.up, urn.stay, urn.down)
+    down, stay, up = step_distribution_exact(n, params)
+    assert (rec.up, rec.stay, rec.down) == (up, stay, down)
     print(f"{n:>5}   {str(rec.up):<22}  {str(rec.stay):<22}  {rec.down}")
 print()
 
@@ -38,14 +39,6 @@ print()
 # normalization Q_n(1) = 1 in disguise.
 totals = [step_coefficients(n, params, "exact").total for n in range(50)]
 print("sum(up + stay + down) over states 0..49:", set(map(str, totals)))
-print()
-
-# A third, fully mechanical route: enumerate every (main ball, side ball)
-# outcome of the urn experiment and add up the cells.
-down, stay, up = step_distribution_exact(3, params)
-rec = step_coefficients(3, params, "exact")
-print(f"state 3 by outcome enumeration: down={down} stay={stay} up={up}")
-print(f"state 3 by recurrence:          down={rec.down} stay={rec.stay} up={rec.up}")
 print()
 
 # The polynomials themselves evaluate by the same recurrence.  At x=1 every

@@ -26,13 +26,13 @@ from .polynomials import (
     StepCoefficients,
     eval_poly,
     invariant_measure,
+    invariant_measure_table,
     monomial_coefficients,
     norm_squared,
     poly_product,
     poly_table,
     step_coefficients,
     total_mass,
-    urn_step_probabilities,
     weight,
 )
 from .integrate import (
@@ -51,6 +51,7 @@ from .chain import (
     spectral_transition,
     spectral_transition_row,
     stationarity_residual,
+    stationarity_residuals,
 )
 from .rng import CounterStream, stream_key, stream_keys
 from .urn import (
@@ -82,6 +83,7 @@ __all__ = [
     "integrate_poly_exact",
     "integrate_quadrature",
     "invariant_measure",
+    "invariant_measure_table",
     "matrix_power_row",
     "matrix_power_transition",
     "moment",
@@ -95,13 +97,13 @@ __all__ = [
     "spectral_transition",
     "spectral_transition_row",
     "stationarity_residual",
+    "stationarity_residuals",
     "step_coefficients",
     "step_distribution_exact",
     "stream_key",
     "stream_keys",
     "terminal_state_counts",
     "total_mass",
-    "urn_step_probabilities",
     "weight",
     "__version__",
 ]

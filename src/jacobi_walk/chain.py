@@ -21,8 +21,9 @@ probabilities (P^t)_{ij} live here:
   exact mode the integrand is expanded in the monomial basis and pushed
   through the rational moments.
 
-``stationarity_residual`` verifies the fixed-point identity pi P = pi for
-the pi_0-normalized invariant measure.  pi is a measure, not a
+``stationarity_residuals`` checks the fixed-point identity pi P = pi for
+the pi_0-normalized invariant measure state by state, and
+``stationarity_residual`` reports the worst state.  pi is a measure, not a
 distribution: its total mass diverges, so no probability normalization
 exists and none is attempted.  Residuals are reported relative to the
 local component pi_i, since pi_i grows polynomially in i and an absolute
@@ -31,14 +32,13 @@ residual would be dominated by the largest retained component's rounding.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import ModelParams, NumericalError, check_engine
+from .model import ModelParams, NumericalError, check_engine, check_int
 from .polynomials import (
     StepCoefficients,
-    invariant_measure,
+    invariant_measure_table,
     monomial_coefficients,
     norm_squared,
     poly_product,
@@ -55,18 +55,12 @@ __all__ = [
     "spectral_transition",
     "spectral_transition_row",
     "stationarity_residual",
+    "stationarity_residuals",
 ]
 
 # Rounding dust this far past [0, 1] is clamped; anything worse is a bug
 # and raises instead of being silently hidden.
 _CLAMP_SLACK = 1e-9
-
-
-def _check_count(value, name: str, minimum: int):
-    value = operator.index(value)
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -115,7 +109,7 @@ class BandedTransition:
 
 def build_transition(N, params: ModelParams, engine: str = "float") -> BandedTransition:
     """One-step matrix truncated to the first N states."""
-    N = _check_count(N, "N", 1)
+    N = check_int(N, "N", 1)
     check_engine(engine)
     coeffs = [step_coefficients(n, params, engine) for n in range(N)]
     return BandedTransition(
@@ -134,9 +128,9 @@ def matrix_power_row(t, i, j_max, params: ModelParams, engine: str = "exact") ->
     Exact by the truncation argument in the module docstring; the float
     variant runs the same recursion in binary64.
     """
-    t = _check_count(t, "t", 0)
-    i = _check_count(i, "i", 0)
-    j_max = _check_count(j_max, "j_max", 0)
+    t = check_int(t, "t")
+    i = check_int(i, "i")
+    j_max = check_int(j_max, "j_max")
     transition = build_transition(max(i, j_max) + t + 1, params, engine)
     one = Fraction(1) if engine == "exact" else 1.0
     zero = Fraction(0) if engine == "exact" else 0.0
@@ -149,7 +143,7 @@ def matrix_power_row(t, i, j_max, params: ModelParams, engine: str = "exact") ->
 
 def matrix_power_transition(t, i, j, params: ModelParams) -> Fraction:
     """(P^t)_{ij} as an exact rational: the brute-force oracle."""
-    j = _check_count(j, "j", 0)
+    j = check_int(j, "j")
     return matrix_power_row(t, i, j, params, "exact")[j]
 
 
@@ -170,9 +164,9 @@ def spectral_transition(t, i, j, params: ModelParams, engine: str = "float"):
     and raises NumericalError further out.  Exact mode returns a Fraction
     and requires integer parameters.
     """
-    t = _check_count(t, "t", 0)
-    i = _check_count(i, "i", 0)
-    j = _check_count(j, "j", 0)
+    t = check_int(t, "t")
+    i = check_int(i, "i")
+    j = check_int(j, "j")
     check_engine(engine)
     if abs(i - j) > t:
         # unreachable in t steps of a birth-death walk
@@ -196,28 +190,34 @@ def spectral_transition(t, i, j, params: ModelParams, engine: str = "float"):
 
 def spectral_transition_row(t, i, params: ModelParams, j_max, engine: str = "float") -> list:
     """Row i of P^t for j = 0..j_max via the spectral representation."""
-    j_max = _check_count(j_max, "j_max", 0)
+    j_max = check_int(j_max, "j_max")
     return [spectral_transition(t, i, j, params, engine) for j in range(j_max + 1)]
+
+
+def stationarity_residuals(N, params: ModelParams, engine: str = "float") -> tuple[list, list]:
+    """pi_0..pi_{N-1} and the relative residuals of pi P = pi on N states.
+
+    Residual n is |(pi P)_n - pi_n| / pi_n for n = 0..N-2, computed on the
+    truncation to N states (the component N-1 would need pi_N and is
+    excluded, so there is one residual fewer than pi entries).
+    """
+    N = check_int(N, "N", 2)
+    check_engine(engine)
+    pi = invariant_measure_table(N - 1, params, engine)
+    coeffs = [step_coefficients(n, params, engine) for n in range(N)]
+    residuals = []
+    for n in range(N - 1):
+        flow = pi[n] * coeffs[n].stay + pi[n + 1] * coeffs[n + 1].down
+        if n > 0:
+            flow += pi[n - 1] * coeffs[n - 1].up
+        residuals.append(abs(flow - pi[n]) / pi[n])
+    return pi, residuals
 
 
 def stationarity_residual(N, params: ModelParams, engine: str = "float"):
     """Largest relative residual of the fixed-point identity pi P = pi.
 
-    Checks components i = 0..N-2 of pi P against pi on the truncation to N
-    states (the component N-1 would need pi_N and is excluded).  Each
-    residual is |(pi P)_i - pi_i| / pi_i.  Exact mode returns Fraction(0);
-    the identity is algebraic.
+    The maximum of ``stationarity_residuals`` over states 0..N-2.  Exact
+    mode returns Fraction(0); the identity is algebraic.
     """
-    N = _check_count(N, "N", 2)
-    check_engine(engine)
-    pi = [invariant_measure(n, params, engine) for n in range(N)]
-    coeffs = [step_coefficients(n, params, engine) for n in range(N)]
-    worst = Fraction(0) if engine == "exact" else 0.0
-    for n in range(N - 1):
-        flow = pi[n] * coeffs[n].stay + pi[n + 1] * coeffs[n + 1].down
-        if n > 0:
-            flow += pi[n - 1] * coeffs[n - 1].up
-        residual = abs(flow - pi[n]) / pi[n]
-        if residual > worst:
-            worst = residual
-    return worst
+    return max(stationarity_residuals(N, params, engine)[1])

@@ -8,8 +8,8 @@ decimal form.  CSV has a header row, UTF-8, LF line endings.  JSON is an
 array of row objects keyed by the column names.
 
 Exit codes: 0 success, 2 argument error (message names the offending
-flag), 3 numerical failure (e.g. the quadrature eigensolver refusing to
-converge).
+flag; an unwritable --output counts as one), 3 numerical failure (e.g. the
+quadrature eigensolver refusing to converge).
 """
 
 from __future__ import annotations
@@ -20,18 +20,12 @@ import io
 import json
 import sys
 from fractions import Fraction
-from math import sqrt
 
-from .chain import matrix_power_row, spectral_transition_row
+from .chain import matrix_power_row, spectral_transition_row, stationarity_residuals
 from .integrate import gauss_jacobi_rule, orthonormality_table
-from .model import ModelParams, NumericalError
-from .polynomials import (
-    eval_poly,
-    invariant_measure,
-    poly_table,
-    step_coefficients,
-)
-from .urn import terminal_state_counts
+from .model import ModelParams, NumericalError, check_int
+from .polynomials import eval_poly, poly_table, step_coefficients
+from .urn import binomial_estimate, terminal_state_counts
 
 __all__ = ["main"]
 
@@ -40,21 +34,18 @@ class UsageError(Exception):
     """Bad argument combination detected after parsing; exits with code 2."""
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """argparse type for integers >= minimum; argparse names the flag."""
 
+    def parse(text: str) -> int:
+        try:
+            return check_int(int(text), "value", minimum)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {minimum}, got {text!r}"
+            ) from None
 
-def _positive_int(text: str) -> int:
-    value = _nonnegative_int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
-    return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,10 +59,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--alpha", type=_nonnegative_int, default=0, help="weight exponent of x (default 0)"
+        "--alpha", type=_int_at_least(0), default=0, help="weight exponent of x (default 0)"
     )
     common.add_argument(
-        "--beta", type=_nonnegative_int, default=0, help="weight exponent of 1-x (default 0)"
+        "--beta", type=_int_at_least(0), default=0, help="weight exponent of 1-x (default 0)"
     )
     common.add_argument(
         "--engine",
@@ -96,13 +87,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "coeffs", parents=[common], help="one-step law (up, stay, down) per state"
     )
-    p.add_argument("--n-max", type=_nonnegative_int, required=True, help="largest state")
+    p.add_argument("--n-max", type=_int_at_least(0), required=True, help="largest state")
     p.set_defaults(run=cmd_coeffs)
 
     p = sub.add_parser(
         "eval", parents=[common], help="values of the walk polynomials at a point"
     )
-    p.add_argument("--n-max", type=_nonnegative_int, required=True, help="largest degree")
+    p.add_argument("--n-max", type=_int_at_least(0), required=True, help="largest degree")
     p.add_argument(
         "--x",
         required=True,
@@ -113,50 +104,50 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "transition", parents=[common], help="t-step transition row from a start state"
     )
-    p.add_argument("--t", type=_nonnegative_int, required=True, help="number of steps")
-    p.add_argument("--i", type=_nonnegative_int, required=True, help="start state")
-    p.add_argument("--j-max", type=_nonnegative_int, required=True, help="largest end state")
+    p.add_argument("--t", type=_int_at_least(0), required=True, help="number of steps")
+    p.add_argument("--i", type=_int_at_least(0), required=True, help="start state")
+    p.add_argument("--j-max", type=_int_at_least(0), required=True, help="largest end state")
     p.add_argument(
         "--method",
         choices=("km", "matrix", "mc"),
         default="km",
         help="km = spectral integral (default), matrix = banded power, mc = Monte Carlo",
     )
-    p.add_argument("--trajectories", type=_positive_int, help="Monte Carlo sample size")
-    p.add_argument("--seed", type=_nonnegative_int, help="Monte Carlo master seed")
+    p.add_argument("--trajectories", type=_int_at_least(1), help="Monte Carlo sample size")
+    p.add_argument("--seed", type=_int_at_least(0), help="Monte Carlo master seed")
     p.add_argument(
-        "--threads", type=_positive_int, default=1, help="worker threads for --method mc"
+        "--threads", type=_int_at_least(1), default=1, help="worker threads for --method mc"
     )
     p.set_defaults(run=cmd_transition)
 
     p = sub.add_parser(
         "stationary", parents=[common], help="invariant measure and fixed-point residuals"
     )
-    p.add_argument("--n-max", type=_positive_int, required=True, help="largest state")
+    p.add_argument("--n-max", type=_int_at_least(1), required=True, help="largest state")
     p.set_defaults(run=cmd_stationary)
 
     p = sub.add_parser(
         "orthocheck", parents=[common], help="normalized Gram matrix of the polynomials"
     )
-    p.add_argument("--i-max", type=_nonnegative_int, required=True, help="largest degree")
+    p.add_argument("--i-max", type=_int_at_least(0), required=True, help="largest degree")
     p.set_defaults(run=cmd_orthocheck)
 
     p = sub.add_parser(
         "simulate", parents=[common], help="urn-mechanism ensemble, terminal-state histogram"
     )
-    p.add_argument("--n0", type=_nonnegative_int, required=True, help="start state")
-    p.add_argument("--t", type=_nonnegative_int, required=True, help="number of steps")
+    p.add_argument("--n0", type=_int_at_least(0), required=True, help="start state")
+    p.add_argument("--t", type=_int_at_least(0), required=True, help="number of steps")
     p.add_argument(
-        "--trajectories", type=_positive_int, required=True, help="number of trajectories"
+        "--trajectories", type=_int_at_least(1), required=True, help="number of trajectories"
     )
-    p.add_argument("--seed", type=_nonnegative_int, required=True, help="master seed")
-    p.add_argument("--threads", type=_positive_int, default=1, help="worker threads")
+    p.add_argument("--seed", type=_int_at_least(0), required=True, help="master seed")
+    p.add_argument("--threads", type=_int_at_least(1), default=1, help="worker threads")
     p.set_defaults(run=cmd_simulate)
 
     p = sub.add_parser(
         "quadrule", parents=[common], help="Gauss rule nodes and weights for the weight"
     )
-    p.add_argument("--points", type=_positive_int, required=True, help="number of nodes")
+    p.add_argument("--points", type=_int_at_least(1), required=True, help="number of nodes")
     p.set_defaults(run=cmd_quadrule)
 
     return parser
@@ -208,27 +199,15 @@ def cmd_transition(args) -> tuple[list[str], list[list]]:
     rows = []
     for j in range(args.j_max + 1):
         hits = int(counts[j]) if j < counts.size else 0
-        p = hits / args.trajectories
-        rows.append([j, p, sqrt(p * (1.0 - p) / args.trajectories)])
+        rows.append([j, *binomial_estimate(hits, args.trajectories)])
     return ["j", "probability", "stderr"], rows
 
 
 def cmd_stationary(args) -> tuple[list[str], list[list]]:
     params = ModelParams(args.alpha, args.beta)
-    engine = args.engine
-    pi = [invariant_measure(n, params, engine) for n in range(args.n_max + 1)]
-    coeffs = [step_coefficients(n, params, engine) for n in range(args.n_max + 1)]
-    rows = []
-    for n in range(args.n_max + 1):
-        if n < args.n_max:
-            flow = pi[n] * coeffs[n].stay + pi[n + 1] * coeffs[n + 1].down
-            if n > 0:
-                flow += pi[n - 1] * coeffs[n - 1].up
-            residual = abs(flow - pi[n]) / pi[n]
-        else:
-            residual = None  # would need pi beyond the table
-        rows.append([n, pi[n], residual])
-    return ["i", "pi", "residual"], rows
+    pi, residuals = stationarity_residuals(args.n_max + 1, params, args.engine)
+    residuals.append(None)  # would need pi beyond the table
+    return ["i", "pi", "residual"], [[n, p, r] for n, (p, r) in enumerate(zip(pi, residuals))]
 
 
 def cmd_orthocheck(args) -> tuple[list[str], list[list]]:
@@ -251,10 +230,7 @@ def cmd_simulate(args) -> tuple[list[str], list[list]]:
     )
     rows = []
     for state, count in enumerate(counts):
-        p = int(count) / args.trajectories
-        rows.append(
-            [state, int(count), p, sqrt(p * (1.0 - p) / args.trajectories)]
-        )
+        rows.append([state, int(count), *binomial_estimate(int(count), args.trajectories)])
     return ["state", "count", "estimate", "stderr"], rows
 
 
@@ -313,7 +289,11 @@ def main(argv=None) -> int:
     text = render(columns, rows, args.format)
     if args.output == "-":
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         with open(args.output, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+    except OSError as exc:
+        print(f"jacobi-walk: error: --output {args.output}: {exc.strerror}", file=sys.stderr)
+        return 2
     return 0

@@ -24,17 +24,16 @@ every spare ulp.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .model import ModelParams, NumericalError, check_engine
+from .model import ModelParams, NumericalError, check_engine, check_int
 from .polynomials import (
+    invariant_measure_table,
     monomial_coefficients,
-    norm_squared,
     poly_product,
     step_coefficients,
     total_mass,
@@ -62,9 +61,7 @@ def moment(k, params: ModelParams) -> Fraction:
 
     Equals (a+k)! b! / (a+b+k+1)! for integer exponents.
     """
-    k = operator.index(k)
-    if k < 0:
-        raise ValueError(f"moment order must be >= 0, got {k}")
+    k = check_int(k, "moment order")
     a, b = params.require_integral("moment")
     return Fraction(
         math.factorial(a + k) * math.factorial(b), math.factorial(a + b + k + 1)
@@ -199,9 +196,7 @@ def gauss_jacobi_rule(order, params: ModelParams) -> QuadratureRule:
     eigensolver stalls or the resulting rule violates its validity
     invariants (node ordering and containment, weight positivity).
     """
-    order = operator.index(order)
-    if order < 1:
-        raise ValueError(f"quadrature order must be >= 1, got {order}")
+    order = check_int(order, "quadrature order", 1)
     diag, off, mass = _symmetrized_recurrence(order, params)
     raw_nodes, _ = _tridiag_eigen_first_components(diag, off[: order - 1])
     # The QL eigenvalues carry a few ulps of backward error and the
@@ -266,17 +261,19 @@ def orthonormality_table(n_max, params: ModelParams, engine: str = "float"):
     precision and rounded once at the end; plain double evaluation loses an
     order of magnitude there.
     """
-    n_max = operator.index(n_max)
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    n_max = check_int(n_max, "n_max")
     check_engine(engine)
     size = n_max + 1
+    # norm_squared(j) is total_mass / pi_j; one pi table serves every j, in
+    # rational arithmetic whenever the exponents allow it
+    norm_engine = "exact" if params.is_integral else "float"
+    weight_mass = total_mass(params, norm_engine)
+    norms = [weight_mass / pi for pi in invariant_measure_table(n_max, params, norm_engine)]
     if engine == "exact":
         coeffs = [monomial_coefficients(n, params) for n in range(size)]
-        scale = [norm_squared(j, params, "exact") for j in range(size)]
         return [
             [
-                integrate_poly_exact(poly_product(coeffs[i], coeffs[j]), params) / scale[j]
+                integrate_poly_exact(poly_product(coeffs[i], coeffs[j]), params) / norms[j]
                 for j in range(size)
             ]
             for i in range(size)
@@ -293,10 +290,6 @@ def orthonormality_table(n_max, params: ModelParams, engine: str = "float"):
     for k in range(1, n_max):
         table[k + 1] = ((xs - dl[k]) * table[k] - ol[k - 1] * table[k - 1]) / ol[k]
     gram = (table * rule.weights.astype(np.longdouble)) @ table.T
-    norm_engine = "exact" if params.is_integral else "float"
-    norms = np.array(
-        [float(norm_squared(j, params, norm_engine)) for j in range(size)],
-        dtype=np.longdouble,
-    )
-    ratio = np.sqrt(norms[:, None] / norms[None, :])
+    scale = np.array([float(norm) for norm in norms], dtype=np.longdouble)
+    ratio = np.sqrt(scale[:, None] / scale[None, :])
     return (gram * ratio).astype(float)

@@ -10,9 +10,10 @@ production path and accepts any real exponents > -1.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
-__all__ = ["ENGINES", "ModelParams", "NumericalError", "check_engine"]
+__all__ = ["ENGINES", "ModelParams", "NumericalError", "check_engine", "check_int"]
 
 ENGINES = ("float", "exact")
 
@@ -25,6 +26,18 @@ def check_engine(engine: str) -> str:
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
     return engine
+
+
+def check_int(value, name: str, minimum: int = 0) -> int:
+    """``value`` as an int no smaller than ``minimum``.
+
+    operator.index rejects non-integers (floats included) with TypeError;
+    an integer below ``minimum`` raises ValueError naming the argument.
+    """
+    value = operator.index(value)
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)

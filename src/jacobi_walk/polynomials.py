@@ -11,10 +11,6 @@ nonnegative and sum to 1, so (down_n, stay_n, up_n) is also the one-step law
 of a birth-and-death walk on the nonnegative integers: down_n is the
 probability of moving from n to n-1, stay_n of staying, up_n of moving to
 n+1.  down_0 = 0, so the walk never leaves the state space.
-
-``urn_step_probabilities`` computes the same three numbers from the factored
-form produced by the two-urn sampling mechanism (see urn.py); it exists as
-an independent route for cross-checking, not as a faster path.
 """
 
 from __future__ import annotations
@@ -28,19 +24,19 @@ from typing import Union
 
 import numpy as np
 
-from .model import ModelParams, check_engine
+from .model import ModelParams, check_engine, check_int
 
 __all__ = [
     "StepCoefficients",
     "eval_poly",
     "invariant_measure",
+    "invariant_measure_table",
     "monomial_coefficients",
     "norm_squared",
     "poly_product",
     "poly_table",
     "step_coefficients",
     "total_mass",
-    "urn_step_probabilities",
     "weight",
 ]
 
@@ -68,106 +64,37 @@ class StepCoefficients:
         return self.up + self.stay + self.down
 
 
-def _check_state(n) -> int:
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError(f"state index must be >= 0, got {n}")
-    return n
-
-
-def _exact_up(n: int, a: int, b: int) -> Fraction:
-    return Fraction((n + b + 1) * (n + a + b + 1), (2 * n + a + b + 1) * (2 * n + a + b + 2))
-
-
-def _exact_down(n: int, a: int, b: int) -> Fraction:
-    if n == 0:
-        return Fraction(0)
-    return Fraction(n * (n + a), (2 * n + a + b) * (2 * n + a + b + 1))
-
-
-def _exact_stay(n: int, a: int, b: int) -> Fraction:
-    # Single-fraction form.  Its denominator contains 2n + a + b, which is 0
-    # at n = 0 when a = b = 0; cancelling the common (a + b) factor there
-    # leaves stay_0 = (a + 1)/(a + b + 2), valid for all a, b.
-    if n == 0:
-        return Fraction(a + 1, a + b + 2)
-    num = 2 * n * (n + a + b + 1) + (a + 1) * b + a * (a + 1)
-    return Fraction(num, (2 * n + a + b) * (2 * n + a + b + 2))
-
-
-def _exact_stay_three_term(n: int, a: int, b: int) -> Fraction:
-    # 1 + n(n+b)/(2n+a+b) - (n+1)(n+b+1)/(2n+a+b+2); the middle term is 0 at
-    # n = 0 (and its denominator may be 0 there, so skip it outright).
-    middle = Fraction(0) if n == 0 else Fraction(n * (n + b), 2 * n + a + b)
-    return 1 + middle - Fraction((n + 1) * (n + b + 1), 2 * n + a + b + 2)
-
-
-def _float_up(n: int, a: float, b: float) -> float:
-    # At n = 0 the (a+b+1) factor cancels top and bottom; cancelling keeps
-    # the formula finite for real parameters with a + b = -1.
-    if n == 0:
-        return (b + 1) / (a + b + 2)
-    return ((n + b + 1) * (n + a + b + 1)) / ((2 * n + a + b + 1) * (2 * n + a + b + 2))
-
-
-def _float_down(n: int, a: float, b: float) -> float:
-    if n == 0:
-        return 0.0
-    return (n * (n + a)) / ((2 * n + a + b) * (2 * n + a + b + 1))
-
-
-def _float_stay(n: int, a: float, b: float) -> float:
-    if n == 0:
-        return (a + 1) / (a + b + 2)
-    num = 2 * n * (n + a + b + 1) + (a + 1) * b + a * (a + 1)
-    return num / ((2 * n + a + b) * (2 * n + a + b + 2))
-
-
 def step_coefficients(n, params: ModelParams, engine: str = "float") -> StepCoefficients:
     """Recurrence coefficients (up, stay, down) at state n.
 
-    In exact mode the single-fraction and three-term forms of the stay
-    coefficient are both evaluated and asserted equal.
+    Both engines share one set of integer-or-float numerators and
+    denominators; only the division differs: Fraction for the exact engine,
+    true division for the float engine.
     """
-    n = _check_state(n)
+    n = check_int(n, "state index")
     check_engine(engine)
     if engine == "exact":
         a, b = params.require_integral("engine='exact'")
-        stay = _exact_stay(n, a, b)
-        assert stay == _exact_stay_three_term(n, a, b)
-        return StepCoefficients(n=n, up=_exact_up(n, a, b), stay=stay, down=_exact_down(n, a, b))
-    a, b = params.alpha, params.beta
-    return StepCoefficients(
-        n=n, up=_float_up(n, a, b), stay=_float_stay(n, a, b), down=_float_down(n, a, b)
-    )
-
-
-def urn_step_probabilities(n, params: ModelParams, engine: str = "float") -> StepCoefficients:
-    """The same one-step law, from the factored two-urn form.
-
-    down = [n / (2n+a+b+1)] * [(n+a) / (2n+a+b)]        (draw blue, then match)
-    up   = [(n+a+b+1) / (2n+a+b+1)] * [(n+b+1) / (2n+a+b+2)]  (draw red, then match)
-    stay = 1 - up - down
-
-    At n = 0 the blue branch is impossible, so down = 0 and the second
-    factor (whose denominator can vanish there) is never formed.
-    """
-    n = _check_state(n)
-    check_engine(engine)
-    if engine == "exact":
-        a, b = params.require_integral("engine='exact'")
-        down = Fraction(0) if n == 0 else Fraction(n, 2 * n + a + b + 1) * Fraction(n + a, 2 * n + a + b)
-        up = Fraction(n + a + b + 1, 2 * n + a + b + 1) * Fraction(n + b + 1, 2 * n + a + b + 2)
-        return StepCoefficients(n=n, up=up, stay=1 - up - down, down=down)
-    a, b = params.alpha, params.beta
-    down = 0.0 if n == 0 else (n / (2 * n + a + b + 1)) * ((n + a) / (2 * n + a + b))
-    if n == 0:
-        # the first factor is (a+b+1)/(a+b+1) = 1: the lone main-urn ball is
-        # red; cancelled so real parameters with a + b = -1 stay finite
-        up = (b + 1) / (a + b + 2)
+        divide = Fraction
     else:
-        up = ((n + a + b + 1) / (2 * n + a + b + 1)) * ((n + b + 1) / (2 * n + a + b + 2))
-    return StepCoefficients(n=n, up=up, stay=1.0 - up - down, down=down)
+        a, b = params.alpha, params.beta
+        divide = operator.truediv
+    if n == 0:
+        # up: the (a+b+1) factor cancels top and bottom; cancelling keeps
+        # the formula finite for real parameters with a + b = -1.
+        # stay: the single-fraction denominator below contains 2n + a + b,
+        # which is 0 at n = 0 when a = b = 0; cancelling the common (a + b)
+        # factor there leaves stay_0 = (a + 1)/(a + b + 2), valid for all a, b.
+        return StepCoefficients(
+            n=n, up=divide(b + 1, a + b + 2), stay=divide(a + 1, a + b + 2), down=divide(0, 1)
+        )
+    up = divide((n + b + 1) * (n + a + b + 1), (2 * n + a + b + 1) * (2 * n + a + b + 2))
+    stay = divide(
+        2 * n * (n + a + b + 1) + (a + 1) * b + a * (a + 1),
+        (2 * n + a + b) * (2 * n + a + b + 2),
+    )
+    down = divide(n * (n + a), (2 * n + a + b) * (2 * n + a + b + 1))
+    return StepCoefficients(n=n, up=up, stay=stay, down=down)
 
 
 def eval_poly(n, x, params: ModelParams, engine: str = "float"):
@@ -178,22 +105,19 @@ def eval_poly(n, x, params: ModelParams, engine: str = "float"):
     normalization (values stay within the modest growth of |Q_n(0)|); float
     agreement with exact has been checked to degree several hundred.
     """
-    n = _check_state(n)
+    n = check_int(n, "degree")
     check_engine(engine)
     if engine == "exact":
         params.require_integral("engine='exact'")
         x = Fraction(x)
-        q_prev: Fraction = Fraction(0)
-        q: Fraction = Fraction(1)
-        for k in range(n):
-            c = step_coefficients(k, params, "exact")
-            q, q_prev = ((x - c.stay) * q - c.down * q_prev) / c.up, q
-        return q
-    x = float(x)
-    q_prev = 0.0
-    q = 1.0
+        q_prev: Scalar = Fraction(0)
+        q: Scalar = Fraction(1)
+    else:
+        x = float(x)
+        q_prev = 0.0
+        q = 1.0
     for k in range(n):
-        c = step_coefficients(k, params, "float")
+        c = step_coefficients(k, params, engine)
         q, q_prev = ((x - c.stay) * q - c.down * q_prev) / c.up, q
     return q
 
@@ -204,7 +128,7 @@ def poly_table(n_max, xs, params: ModelParams) -> np.ndarray:
     Returns an array of shape (n_max + 1, len(xs)); row n is Q_n evaluated
     at all points.  One recurrence sweep shared across points.
     """
-    n_max = _check_state(n_max)
+    n_max = check_int(n_max, "n_max")
     xs = np.asarray(xs, dtype=float)
     out = np.empty((n_max + 1, xs.size))
     out[0] = 1.0
@@ -220,7 +144,7 @@ def poly_table(n_max, xs, params: ModelParams) -> np.ndarray:
 @lru_cache(maxsize=None)
 def monomial_coefficients(n, params: ModelParams) -> tuple[Fraction, ...]:
     """Exact monomial coefficients of Q_n, lowest degree first."""
-    n = _check_state(n)
+    n = check_int(n, "degree")
     params.require_integral("monomial_coefficients")
     prev: tuple[Fraction, ...] = ()
     cur: tuple[Fraction, ...] = (Fraction(1),)
@@ -261,56 +185,62 @@ def total_mass(params: ModelParams, engine: str = "float"):
     return math.exp(math.lgamma(a + 1) + math.lgamma(b + 1) - math.lgamma(a + b + 2))
 
 
-def norm_squared(i, params: ModelParams, engine: str = "float"):
-    """Squared weighted L2 norm of Q_i.
+def invariant_measure_table(n_max, params: ModelParams, engine: str = "float") -> list:
+    """Invariant measure pi_0..pi_{n_max} of the walk, normalized so pi_0 = 1.
 
-    Exact mode uses the closed factorial form.  Float mode evaluates the
-    algebraically identical telescoped product
+    pi_i = norm_squared(0) / norm_squared(i); the walk is reversible with
+    respect to it.  For alpha = beta = 0 this is 2i + 1.  Neither engine
+    reads the recurrence coefficients, so checking pi P = pi against them
+    is not circular.
 
-        B(a+1, b+1) * (a+1) / [(b+1)(2i+a+b+1)]
-                    * prod_{m=2..i} m(a+m) / [(b+m)(a+b+m)]
+    Exact mode uses the closed form
 
-    (empty for i = 0).  Its factors are all safely sized and all
-    denominators stay positive down to a, b > -1, so no large-Gamma
-    cancellation occurs and the relative error stays at a few ulps per
-    factor.  The (a+b+1) prefactor of the raw telescoping is cancelled into
-    the m = 1 term, keeping a + b = -1 finite.
+        pi_i = (2i+a+b+1) C(i+b, b) C(i+a+b, b) / [(a+b+1) C(a+b, b)].
+
+    Float mode keeps a running telescoped product: pi_i is the prefactor
+    (b+1)(2i+a+b+1)/(a+1) times prod_{m=2..i} (b+m)(a+b+m) / [m(a+m)].
+    Its factors are all safely sized and all denominators stay positive
+    down to a, b > -1, so no large-Gamma cancellation occurs and the
+    relative error stays at a few ulps per factor.  The (a+b+1) prefactor
+    of the raw telescoping is cancelled into the m = 1 term, keeping
+    a + b = -1 finite.
     """
-    i = _check_state(i)
+    n_max = check_int(n_max, "n_max")
     check_engine(engine)
     if engine == "exact":
         a, b = params.require_integral("engine='exact'")
-        num = math.factorial(i) * math.factorial(i + a) * math.factorial(b) ** 2
-        den = math.factorial(i + b) * math.factorial(i + a + b) * (2 * i + a + b + 1)
-        return Fraction(num, den)
+        scale = (a + b + 1) * math.comb(a + b, b)
+        return [
+            Fraction((2 * i + a + b + 1) * math.comb(i + b, b) * math.comb(i + a + b, b), scale)
+            for i in range(n_max + 1)
+        ]
     a, b = params.alpha, params.beta
-    value = total_mass(params, "float")
-    if i > 0:
-        value *= (a + 1) / ((b + 1) * (2 * i + a + b + 1))
-        for m in range(2, i + 1):
-            value *= (m * (a + m)) / ((b + m) * (a + b + m))
-    return value
+    table = [1.0]
+    tail = 1.0
+    for m in range(1, n_max + 1):
+        if m > 1:
+            tail *= ((b + m) * (a + b + m)) / (m * (a + m))
+        table.append(((b + 1) * (2 * m + a + b + 1)) / (a + 1) * tail)
+    return table
 
 
 def invariant_measure(i, params: ModelParams, engine: str = "float"):
     """Invariant measure of the walk at state i, normalized so pi_0 = 1.
 
-    pi_i = norm_squared(0) / norm_squared(i); the walk is reversible with
-    respect to it.  For alpha = beta = 0 this is 2i + 1.
+    Entry i of ``invariant_measure_table``; callers needing many states
+    should build the table once.
     """
-    i = _check_state(i)
-    check_engine(engine)
-    if engine == "exact":
-        return norm_squared(0, params, "exact") / norm_squared(i, params, "exact")
-    # Same telescoped product as norm_squared, inverted; dividing the two
-    # float norms would square the (tiny) error for no benefit.
-    a, b = params.alpha, params.beta
-    value = 1.0
-    if i > 0:
-        value = ((b + 1) * (2 * i + a + b + 1)) / (a + 1)
-        for m in range(2, i + 1):
-            value *= ((b + m) * (a + b + m)) / (m * (a + m))
-    return value
+    i = check_int(i, "state index")
+    return invariant_measure_table(i, params, engine)[i]
+
+
+def norm_squared(i, params: ModelParams, engine: str = "float"):
+    """Squared weighted L2 norm of Q_i: total_mass / pi_i.
+
+    Both engines divide the weight's total mass by the invariant measure,
+    so the relative error in float is that of pi_i plus one rounding.
+    """
+    return total_mass(params, engine) / invariant_measure(i, params, engine)
 
 
 def weight(x, params: ModelParams):

@@ -27,6 +27,8 @@ import operator
 
 import numpy as np
 
+from .model import check_int
+
 __all__ = ["CounterStream", "draw_below_many", "raw_many", "stream_key", "stream_keys"]
 
 _MASK = (1 << 64) - 1
@@ -52,29 +54,18 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _check_seed(seed) -> int:
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return seed & _MASK
-
-
 def stream_key(seed, index) -> int:
     """Key of substream ``index`` under ``seed``."""
-    seed = _check_seed(seed)
-    index = operator.index(index)
-    if index < 0:
-        raise ValueError(f"stream index must be >= 0, got {index}")
+    seed = check_int(seed, "seed")
+    index = check_int(index, "stream index")
     return _mix64(_mix64(seed) ^ (((index + 1) * _GAMMA2) & _MASK))
 
 
 def stream_keys(seed, start, count) -> np.ndarray:
     """Keys of substreams start..start+count-1 as a uint64 array."""
-    seed = _check_seed(seed)
-    start = operator.index(start)
-    count = operator.index(count)
-    if start < 0 or count < 0:
-        raise ValueError("start and count must be >= 0")
+    seed = check_int(seed, "seed")
+    start = check_int(start, "start")
+    count = check_int(count, "count")
     indices = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     return _mix64_array(np.uint64(_mix64(seed)) ^ (indices * np.uint64(_GAMMA2)))
 
@@ -99,9 +90,7 @@ class CounterStream:
 
     def draw_below(self, bound) -> int:
         """Uniform integer in [0, bound) by rejection (unbiased)."""
-        bound = operator.index(bound)
-        if bound < 1:
-            raise ValueError(f"bound must be >= 1, got {bound}")
+        bound = check_int(bound, "bound", 1)
         # reject raws below 2^64 mod bound, the leftover of the last
         # full block of size bound
         leftover = ((1 << 64) - bound) % bound if bound > 1 else 0

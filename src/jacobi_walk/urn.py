@@ -38,7 +38,6 @@ a labeled fast path and is excluded from mechanism-agreement tests.
 
 from __future__ import annotations
 
-import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,13 +46,14 @@ from typing import Literal
 
 import numpy as np
 
-from .model import ModelParams
+from .model import ModelParams, check_int
 from .polynomials import step_coefficients
 from .rng import CounterStream, draw_below_many, raw_many, stream_keys
 
 __all__ = [
     "StepTrace",
     "TransitionEstimate",
+    "binomial_estimate",
     "estimate_transition",
     "simulate_step",
     "simulate_trajectory",
@@ -98,16 +98,9 @@ def _state_change(chosen: Color, auxiliary: Color) -> int:
     return -1 if chosen == "blue" else 1
 
 
-def _check_state(n) -> int:
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError(f"state must be >= 0, got {n}")
-    return n
-
-
 def simulate_step(n, params: ModelParams, rng) -> StepTrace:
     """One literal mechanism step; ``rng`` provides draw_below(bound)."""
-    n = _check_state(n)
+    n = check_int(n, "state")
     a, b = params.require_integral("simulate_step")
     mixed_in = n + a + b + 1
     main_pick = rng.draw_below(2 * n + a + b + 1)
@@ -137,7 +130,7 @@ def step_distribution_exact(n, params: ModelParams) -> tuple[Fraction, Fraction,
     Walks the same branches as simulate_step with ball-count probabilities,
     aggregating by the state change the match rule produces.
     """
-    n = _check_state(n)
+    n = check_int(n, "state")
     a, b = params.require_integral("step_distribution_exact")
     main_total = 2 * n + a + b + 1
     outcomes: list[tuple[Color, Color, Fraction]] = []
@@ -159,10 +152,8 @@ def step_distribution_exact(n, params: ModelParams) -> tuple[Fraction, Fraction,
 
 def simulate_trajectory(n0, t, params: ModelParams, rng) -> list[int]:
     """States visited over t literal mechanism steps, starting at n0."""
-    n0 = _check_state(n0)
-    t = operator.index(t)
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    n0 = check_int(n0, "n0")
+    t = check_int(t, "t")
     states = [n0]
     for _ in range(t):
         states.append(simulate_step(states[-1], params, rng).state_after)
@@ -227,16 +218,10 @@ def terminal_state_counts(
     from the float one-step law directly (faster, but no longer a test of
     the mechanism, and a different draw sequence).
     """
-    n0 = _check_state(n0)
-    t = operator.index(t)
-    trajectories = operator.index(trajectories)
-    threads = operator.index(threads)
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if trajectories < 1:
-        raise ValueError(f"trajectories must be >= 1, got {trajectories}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    n0 = check_int(n0, "n0")
+    t = check_int(t, "t")
+    trajectories = check_int(trajectories, "trajectories", 1)
+    threads = check_int(threads, "threads", 1)
     if sampler not in ("urn", "coefficients"):
         raise ValueError(f"sampler must be 'urn' or 'coefficients', got {sampler!r}")
     a, b = params.require_integral("terminal_state_counts")
@@ -275,18 +260,24 @@ class TransitionEstimate:
     target: int
 
 
+def binomial_estimate(hits, trajectories) -> tuple[float, float]:
+    """Empirical frequency hits / trajectories and its binomial standard error."""
+    p = hits / trajectories
+    return p, sqrt(p * (1.0 - p) / trajectories)
+
+
 def estimate_transition(
     n0, t, j, params: ModelParams, trajectories, seed, threads: int = 1
 ) -> TransitionEstimate:
     """Empirical frequency of ending at j after t steps, with binomial stderr."""
-    j = _check_state(j)
+    j = check_int(j, "j")
     counts = terminal_state_counts(n0, t, params, trajectories, seed, threads=threads)
     hits = int(counts[j]) if j < counts.size else 0
-    p = hits / trajectories
+    p, stderr = binomial_estimate(hits, trajectories)
     return TransitionEstimate(
         estimate=p,
         trajectories=trajectories,
-        standard_error=sqrt(p * (1.0 - p) / trajectories),
+        standard_error=stderr,
         start=n0,
         steps=t,
         target=j,

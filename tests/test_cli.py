@@ -9,6 +9,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from jacobi_walk import ModelParams, stationarity_residuals
 from jacobi_walk.cli import main
 
 
@@ -92,6 +93,16 @@ class TestGoldenOutputs:
         assert len(rows) == 21
         residuals = [float(r[2]) for r in rows[:-1]]
         assert max(residuals) <= 1e-12
+        assert rows[-1][2] == ""
+
+    def test_stationary_prints_the_chain_residuals(self):
+        code, text = run_cli("stationary", "--alpha", "2", "--beta", "5", "--n-max", "200")
+        assert code == 0
+        _, rows = parse_csv(text)
+        pi, residuals = stationarity_residuals(201, ModelParams(2, 5), "float")
+        assert [r[0] for r in rows] == [str(n) for n in range(201)]
+        assert [float(r[1]) for r in rows] == pi
+        assert [float(r[2]) for r in rows[:-1]] == residuals
         assert rows[-1][2] == ""
 
     def test_orthocheck_exact_identity(self):
@@ -210,9 +221,25 @@ class TestExitCodes:
         code, _ = run_cli("frobnicate")
         assert code == 2
 
-    def test_stationary_requires_positive_n_max(self):
+    def test_stationary_requires_positive_n_max(self, capsys):
         code, _ = run_cli("stationary", "--n-max", "0")
         assert code == 2
+        assert "--n-max" in capsys.readouterr().err
+
+    def test_non_integer_flag_value(self, capsys):
+        code, _ = run_cli("coeffs", "--n-max", "2.5")
+        assert code == 2
+        assert "--n-max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["missing-dir/x.csv", "."])
+    def test_unwritable_output(self, tmp_path, capsys, where):
+        # a path under a missing directory, and a path that is a directory
+        target = tmp_path / where
+        code, text = run_cli("coeffs", "--n-max", "2", "--output", str(target))
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("jacobi-walk: error: --output ")
+        assert "Traceback" not in err
 
     def test_success_is_zero(self):
         code, _ = run_cli("coeffs", "--n-max", "2")

@@ -17,15 +17,16 @@ from jacobi_walk import (
     ModelParams,
     eval_poly,
     invariant_measure,
+    invariant_measure_table,
     monomial_coefficients,
     norm_squared,
     poly_product,
     poly_table,
     step_coefficients,
     total_mass,
-    urn_step_probabilities,
     weight,
 )
+from jacobi_walk.model import check_int
 
 F = Fraction
 
@@ -65,6 +66,22 @@ class TestModelParams:
         assert c.up + c.stay == pytest.approx(1.0)
 
 
+class TestCheckInt:
+    def test_returns_plain_int(self):
+        value = check_int(np.int64(3), "n")
+        assert value == 3 and type(value) is int
+        assert check_int(5, "order", 5) == 5
+
+    def test_non_integers_raise_type_error(self):
+        for value in (2.0, "2", None):
+            with pytest.raises(TypeError):
+                check_int(value, "n")
+
+    def test_below_minimum_names_the_argument(self):
+        with pytest.raises(ValueError, match="trajectories must be >= 1, got 0"):
+            check_int(0, "trajectories", 1)
+
+
 class TestStepCoefficients:
     def test_base_case(self):
         # hand: a=b=0 gives up_0 = stay_0 = 1/2
@@ -101,10 +118,13 @@ class TestStepCoefficients:
         assert (c.down == 0) == (n == 0)
 
     @given(st.integers(0, 200), params_strategy)
-    def test_urn_form_matches_recurrence_form(self, n, params):
-        assert urn_step_probabilities(n, params, "exact") == step_coefficients(
-            n, params, "exact"
-        )
+    def test_stay_matches_three_term_form(self, n, params):
+        # stay_n = 1 + n(n+b)/(2n+a+b) - (n+1)(n+b+1)/(2n+a+b+2); the middle
+        # term is 0 at n = 0 (and its denominator may be 0 there, so skip it)
+        a, b = params.alpha, params.beta
+        middle = F(0) if n == 0 else F(n * (n + b), 2 * n + a + b)
+        three_term = 1 + middle - F((n + 1) * (n + b + 1), 2 * n + a + b + 2)
+        assert step_coefficients(n, params, "exact").stay == three_term
 
     @given(st.integers(0, 100), params_strategy)
     def test_float_shadows_exact(self, n, params):
@@ -112,12 +132,6 @@ class TestStepCoefficients:
         ce = step_coefficients(n, params, "exact")
         for name in ("up", "stay", "down"):
             assert getattr(cf, name) == pytest.approx(float(getattr(ce, name)), abs=1e-15)
-
-    def test_float_urn_form(self):
-        cf = urn_step_probabilities(5, ModelParams(1, 2), "float")
-        ce = urn_step_probabilities(5, ModelParams(1, 2), "exact")
-        assert cf.up == pytest.approx(float(ce.up), abs=1e-15)
-        assert cf.down == pytest.approx(float(ce.down), abs=1e-15)
 
 
 class TestEvalPoly:
@@ -226,6 +240,20 @@ class TestInvariantMeasure:
             assert invariant_measure(i, params, "float") == pytest.approx(
                 float(exact), rel=1e-12
             )
+
+    @pytest.mark.parametrize("ab", [(0, 0), (1, 2), (6, 6), (0, 6), (6, 0), (3, 5)])
+    def test_float_table_shadows_exact_table(self, ab):
+        params = ModelParams(*ab)
+        exact = invariant_measure_table(3000, params, "exact")
+        got = invariant_measure_table(3000, params, "float")
+        assert len(got) == len(exact) == 3001
+        assert exact[0] == 1 and got[0] == 1.0
+        for value, reference in zip(got, exact):
+            assert abs(value - float(reference)) <= 1e-13 * float(reference)
+
+    def test_rejects_negative_size(self):
+        with pytest.raises(ValueError, match="n_max must be >= 0"):
+            invariant_measure_table(-1, ModelParams(0, 0))
 
 
 class TestWeight:
