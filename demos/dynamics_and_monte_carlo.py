@@ -33,7 +33,8 @@ for j, p in enumerate(row):
 print(f"  row sum: {sum(row)}")
 print()
 
-# The float engine rides a Gauss rule just big enough for the integrand.
+# The float engine integrates the whole row with one Gauss rule, just big
+# enough for the integrand of the row's last reachable column.
 frow = spectral_transition_row(t, start, params, start + t, "float")
 dev = max(abs(float(p) - f) for p, f in zip(row, frow))
 print(f"float spectral row, max |float - exact| = {dev:.2e}")

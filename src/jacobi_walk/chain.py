@@ -15,11 +15,20 @@ probabilities (P^t)_{ij} live here:
 
       (P^t)_{ij} = pi_j * integral_0^1 x^t Q_i(x) Q_j(x) W(x) dx,
 
-  with pi_j = 1 / norm_squared(j).  In float mode the integrand is a
-  polynomial of degree t + i + j, so a Gauss rule with
-  floor((t+i+j)/2) + 1 nodes integrates it exactly up to rounding; in
-  exact mode the integrand is expanded in the monomial basis and pushed
-  through the rational moments.
+  with pi_j = 1 / norm_squared(j).  In float mode the integrand of cell j
+  is a polynomial of degree t + i + j, and an M-point Gauss rule is exact up
+  to degree 2M - 1, so one rule with floor((t+i+reach)/2) + 1 nodes
+  integrates every cell of a row up to its last reachable column
+  reach = min(j_max, i + t) exactly up to rounding; the row is one product
+  of that rule's poly_table with the weighted x^t Q_i values.  In exact
+  mode the integrand is expanded in the monomial basis and pushed through
+  the rational moments, cell by cell.
+
+Banded propagation runs one step body on ndarrays for both engines:
+float64 for the float engine, dtype object holding Fractions for the exact
+one.  Each state's new mass adds the same products in the same order as a
+plain loop over states would, so neither engine's results depend on the
+vectorization.
 
 ``stationarity_residuals`` checks the fixed-point identity pi P = pi for
 the pi_0-normalized invariant measure state by state, and
@@ -35,6 +44,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .model import ModelParams, NumericalError, check_engine, check_int
 from .polynomials import (
     StepCoefficients,
@@ -44,6 +55,7 @@ from .polynomials import (
     poly_product,
     poly_table,
     step_coefficients,
+    total_mass,
 )
 from .integrate import gauss_jacobi_rule, integrate_poly_exact, moment
 
@@ -95,16 +107,29 @@ class BandedTransition:
             down=self.sub[n - 1] if n > 0 else zero,
         )
 
-    def propagate(self, mass):
+    def _bands(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(diag, sup, sub) as ndarrays: float64, or dtype object of Fractions."""
+        dtype = object if self.engine == "exact" else float
+        return tuple(np.array(band, dtype=dtype) for band in (self.diag, self.sup, self.sub))
+
+    def propagate(self, mass) -> list:
         """One walk step applied to a row vector of state masses."""
         if len(mass) != self.size:
             raise ValueError(f"mass vector of length {len(mass)} for size {self.size}")
-        out = [mass[n] * self.diag[n] for n in range(self.size)]
-        for n in range(1, self.size):
-            out[n] += mass[n - 1] * self.sup[n - 1]
-        for n in range(self.size - 1):
-            out[n] += mass[n + 1] * self.sub[n]
-        return out
+        diag, sup, sub = self._bands()
+        return _banded_step(np.array(mass, dtype=diag.dtype), diag, sup, sub).tolist()
+
+
+def _banded_step(mass: np.ndarray, diag, sup, sub) -> np.ndarray:
+    """One walk step on ndarrays of either engine's dtype.
+
+    State n receives mass[n] * diag[n], then mass[n-1] * sup[n-1], then
+    mass[n+1] * sub[n], added in that order.
+    """
+    out = mass * diag
+    out[1:] += mass[:-1] * sup
+    out[:-1] += mass[1:] * sub
+    return out
 
 
 def build_transition(N, params: ModelParams, engine: str = "float") -> BandedTransition:
@@ -131,14 +156,15 @@ def matrix_power_row(t, i, j_max, params: ModelParams, engine: str = "exact") ->
     t = check_int(t, "t")
     i = check_int(i, "i")
     j_max = check_int(j_max, "j_max")
-    transition = build_transition(max(i, j_max) + t + 1, params, engine)
+    diag, sup, sub = build_transition(max(i, j_max) + t + 1, params, engine)._bands()
     one = Fraction(1) if engine == "exact" else 1.0
     zero = Fraction(0) if engine == "exact" else 0.0
-    mass = [zero] * transition.size
+    mass = np.full(diag.size, zero, dtype=diag.dtype)
     mass[i] = one
     for _ in range(t):
-        mass = transition.propagate(mass)
-    return mass[: j_max + 1]
+        mass = _banded_step(mass, diag, sup, sub)
+    # tolist yields plain floats or the Fractions themselves, never np.float64
+    return mass[: j_max + 1].tolist()
 
 
 def matrix_power_transition(t, i, j, params: ModelParams) -> Fraction:
@@ -157,12 +183,37 @@ def _clamp_probability(value: float, context: str) -> float:
     raise NumericalError(f"{context}: value {value!r} outside [0, 1] beyond rounding slack")
 
 
+def _float_spectral_row(t: int, i: int, j_max: int, params: ModelParams) -> list:
+    """Float row i of P^t for j = 0..j_max from one Gauss rule and one table.
+
+    The rule has floor((t+i+reach)/2) + 1 nodes, reach = min(j_max, i + t)
+    being the last reachable column, so it is exact for every cell's
+    integrand.  norm_squared(j) is total_mass / pi_j, all pi_j from one
+    table.  Unreachable cells are exactly 0.0.
+    """
+    row = [0.0] * (j_max + 1)
+    first, reach = max(0, i - t), min(j_max, i + t)
+    if first > reach:
+        return row
+    rule = gauss_jacobi_rule((t + i + reach) // 2 + 1, params)
+    table = poly_table(max(i, reach), rule.nodes, params)
+    integrals = table[: reach + 1] @ (rule.weights * rule.nodes**t * table[i])
+    pi = invariant_measure_table(reach, params, "float")
+    mass = total_mass(params, "float")
+    for j in range(first, reach + 1):
+        value = float(integrals[j]) / (mass / pi[j])
+        row[j] = _clamp_probability(value, f"spectral_transition(t={t}, i={i}, j={j})")
+    return row
+
+
 def spectral_transition(t, i, j, params: ModelParams, engine: str = "float"):
     """(P^t)_{ij} via the Karlin-McGregor integral representation.
 
-    Float mode clamps rounding dust at the [0, 1] boundary (within 1e-9)
-    and raises NumericalError further out.  Exact mode returns a Fraction
-    and requires integer parameters.
+    Float mode is entry j of ``spectral_transition_row`` with j_max = j, so
+    its Gauss rule has floor((t+i+j)/2) + 1 nodes; it clamps rounding dust
+    at the [0, 1] boundary (within 1e-9) and raises NumericalError further
+    out.  Exact mode returns a Fraction and requires integer parameters.
+    Cells with |i - j| > t are unreachable and exactly zero.
     """
     t = check_int(t, "t")
     i = check_int(i, "i")
@@ -181,16 +232,18 @@ def spectral_transition(t, i, j, params: ModelParams, engine: str = "float"):
             (c * moment(k + t, params) for k, c in enumerate(product) if c), Fraction(0)
         )
         return total / norm_squared(j, params, "exact")
-    rule = gauss_jacobi_rule((t + i + j) // 2 + 1, params)
-    table = poly_table(max(i, j), rule.nodes, params)
-    value = float((rule.weights * rule.nodes**t * table[i] * table[j]).sum())
-    value /= norm_squared(j, params, "float")
-    return _clamp_probability(value, f"spectral_transition(t={t}, i={i}, j={j})")
+    return _float_spectral_row(t, i, j, params)[j]
 
 
 def spectral_transition_row(t, i, params: ModelParams, j_max, engine: str = "float") -> list:
-    """Row i of P^t for j = 0..j_max via the spectral representation."""
+    """Row i of P^t for j = 0..j_max via the spectral representation.
+
+    Float mode builds one Gauss rule and one polynomial table for the whole
+    row; exact mode integrates cell by cell.
+    """
     j_max = check_int(j_max, "j_max")
+    if engine == "float":
+        return _float_spectral_row(check_int(t, "t"), check_int(i, "i"), j_max, params)
     return [spectral_transition(t, i, j, params, engine) for j in range(j_max + 1)]
 
 

@@ -185,7 +185,9 @@ class QuadratureRule:
         return float(np.dot(self.weights, values))
 
 
-@lru_cache(maxsize=None)
+# A long-lived process keeps at most 128 rules; an order-M rule holds 16 M
+# bytes of nodes and weights, so 128 rules of order 1500 are about 3 MB.
+@lru_cache(maxsize=128)
 def gauss_jacobi_rule(order, params: ModelParams) -> QuadratureRule:
     """Build (and cache) the M-point Gauss rule via Golub-Welsch.
 

@@ -10,6 +10,7 @@ production path and accepts any real exponents > -1.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -61,8 +62,10 @@ class ModelParams:
             # bool is an int subclass but makes no sense as an exponent
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise TypeError(f"{name} must be an int or float, got {type(value).__name__}")
-            if not value > -1:
-                raise ValueError(f"{name} must be > -1, got {value}")
+            # NaN fails every comparison; +inf would pass "> -1" alone and
+            # turn the coefficients into NaN downstream
+            if not -1 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > -1, got {value}")
         if isinstance(self.alpha, float) and self.alpha.is_integer():
             object.__setattr__(self, "alpha", int(self.alpha))
         if isinstance(self.beta, float) and self.beta.is_integer():

@@ -6,6 +6,7 @@ absolute error.  t-step values marked "hand" come from path enumeration.
 """
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -15,6 +16,7 @@ from jacobi_walk import (
     ModelParams,
     NumericalError,
     build_transition,
+    gauss_jacobi_rule,
     invariant_measure,
     matrix_power_row,
     matrix_power_transition,
@@ -26,6 +28,23 @@ from jacobi_walk import (
 from jacobi_walk.chain import _clamp_probability
 
 F = Fraction
+
+
+def loop_row(t, i, j_max, params, engine):
+    """Row i of P^t by the plain list loop over states: the reference that
+    the ndarray propagation must reproduce bit for bit."""
+    transition = build_transition(max(i, j_max) + t + 1, params, engine)
+    size, diag, sup, sub = transition.size, transition.diag, transition.sup, transition.sub
+    mass = [Fraction(0) if engine == "exact" else 0.0] * size
+    mass[i] = Fraction(1) if engine == "exact" else 1.0
+    for _ in range(t):
+        out = [mass[n] * diag[n] for n in range(size)]
+        for n in range(1, size):
+            out[n] += mass[n - 1] * sup[n - 1]
+        for n in range(size - 1):
+            out[n] += mass[n + 1] * sub[n]
+        mass = out
+    return mass[: j_max + 1]
 
 
 class TestBandedTransition:
@@ -86,6 +105,24 @@ class TestMatrixPower:
         row = matrix_power_row(7, 2, 9, params, "exact")
         assert sum(row) == 1  # all reachable states retained
         assert all(p >= 0 for p in row)
+
+    @pytest.mark.parametrize("ab", [(0, 0), (3, 5), (6, 1), (-0.5, 2.75), (0.25, -0.9)])
+    def test_float_matches_list_loop_bit_for_bit(self, ab):
+        params = ModelParams(*ab)
+        for t, i, j_max in ((0, 2, 4), (1, 0, 3), (37, 5, 50), (150, 40, 20), (400, 3, 410)):
+            got = matrix_power_row(t, i, j_max, params, "float")
+            assert all(type(v) is float for v in got)
+            want = loop_row(t, i, j_max, params, "float")
+            # bit identity: equal floats and no sign-of-zero differences
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("ab", [(0, 0), (3, 5), (6, 1)])
+    def test_exact_matches_list_loop(self, ab):
+        params = ModelParams(*ab)
+        for t, i, j_max in ((0, 2, 4), (1, 0, 3), (25, 4, 30), (60, 10, 5)):
+            got = matrix_power_row(t, i, j_max, params, "exact")
+            assert all(type(v) is Fraction for v in got)
+            assert got == loop_row(t, i, j_max, params, "exact")
 
     def test_float_engine_shadows_exact(self):
         params = ModelParams(1, 2)
@@ -151,6 +188,29 @@ class TestSpectralTransition:
         # hand: (stay_0, up_0, 0) = (1/2, 1/2, 0)
         params = ModelParams(0, 0)
         assert spectral_transition_row(1, 0, params, 2, "exact") == [F(1, 2), F(1, 2), F(0)]
+
+    @pytest.mark.parametrize("ab", list(product(range(7), repeat=2)))
+    def test_float_row_at_benchmark_scale(self, ab):
+        # the float-sweep benchmark's range: t up to 120, i up to 20
+        params = ModelParams(*ab)
+        for t, i in product((10, 60, 120), (0, 13, 20)):
+            j_max = i + t + 5
+            gauss_jacobi_rule.cache_clear()
+            row = spectral_transition_row(t, i, params, j_max, "float")
+            assert gauss_jacobi_rule.cache_info().misses == 1
+            banded = matrix_power_row(t, i, j_max, params, "float")
+            for j, (km, mp) in enumerate(zip(row, banded)):
+                assert type(km) is float
+                if abs(i - j) > t:
+                    assert km == 0.0
+                else:
+                    assert abs(km - mp) <= 1e-10, (t, i, j)
+
+    def test_float_row_unreachable_builds_no_rule(self):
+        gauss_jacobi_rule.cache_clear()
+        row = spectral_transition_row(2, 10, ModelParams(1, 1), 6, "float")
+        assert row == [0.0] * 7
+        assert gauss_jacobi_rule.cache_info().misses == 0
 
     def test_float_row_sums_to_one(self):
         params = ModelParams(3, 3)

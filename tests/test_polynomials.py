@@ -6,6 +6,7 @@ by path enumeration); they are frozen here rather than recomputed so the
 tests cannot drift with the code under test.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -41,6 +42,11 @@ class TestModelParams:
             ModelParams(-1, 0)
         with pytest.raises(ValueError):
             ModelParams(0, -1.5)
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="alpha"):
+                ModelParams(bad, 0)
+            with pytest.raises(ValueError, match="beta"):
+                ModelParams(0, bad)
 
     def test_rejects_non_numbers(self):
         with pytest.raises(TypeError):
