@@ -31,7 +31,8 @@ plain loop over states would, so neither engine's results depend on the
 vectorization.
 
 ``stationarity_residuals`` checks the fixed-point identity pi P = pi for
-the pi_0-normalized invariant measure state by state, and
+the pi_0-normalized invariant measure state by state, forming pi P with
+the same banded step on the bands of ``build_transition``, and
 ``stationarity_residual`` reports the worst state.  pi is a measure, not a
 distribution: its total mass diverges, so no probability normalization
 exists and none is attempted.  Residuals are reported relative to the
@@ -250,21 +251,20 @@ def spectral_transition_row(t, i, params: ModelParams, j_max, engine: str = "flo
 def stationarity_residuals(N, params: ModelParams, engine: str = "float") -> tuple[list, list]:
     """pi_0..pi_{N-1} and the relative residuals of pi P = pi on N states.
 
-    Residual n is |(pi P)_n - pi_n| / pi_n for n = 0..N-2, computed on the
-    truncation to N states (the component N-1 would need pi_N and is
-    excluded, so there is one residual fewer than pi entries).
+    Residual n is |(pi P)_n - pi_n| / pi_n for n = 0..N-2, where pi P is
+    one banded step of pi on the truncation to N states (the component N-1
+    would need pi_N and is excluded, so there is one residual fewer than pi
+    entries).
     """
     N = check_int(N, "N", 2)
     check_engine(engine)
     pi = invariant_measure_table(N - 1, params, engine)
-    coeffs = [step_coefficients(n, params, engine) for n in range(N)]
-    residuals = []
-    for n in range(N - 1):
-        flow = pi[n] * coeffs[n].stay + pi[n + 1] * coeffs[n + 1].down
-        if n > 0:
-            flow += pi[n - 1] * coeffs[n - 1].up
-        residuals.append(abs(flow - pi[n]) / pi[n])
-    return pi, residuals
+    diag, sup, sub = build_transition(N, params, engine)._bands()
+    measure = np.array(pi, dtype=diag.dtype)
+    flow = _banded_step(measure, diag, sup, sub)[:-1]
+    residuals = abs(flow - measure[:-1]) / measure[:-1]
+    # tolist yields plain floats or the Fractions themselves
+    return pi, residuals.tolist()
 
 
 def stationarity_residual(N, params: ModelParams, engine: str = "float"):

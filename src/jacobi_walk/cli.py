@@ -244,16 +244,6 @@ def cmd_quadrule(args) -> tuple[list[str], list[list]]:
     return ["index", "node", "weight"], rows
 
 
-def _cell_csv(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _cell_json(value):
     if isinstance(value, Fraction):
         return str(value)
@@ -265,8 +255,8 @@ def render(columns: list[str], rows: list[list], fmt: str) -> str:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_cell_csv(v) for v in row])
+        # the writer prints None as empty, floats via repr, the rest via str
+        writer.writerows(rows)
         return buffer.getvalue()
     records = [dict(zip(columns, (_cell_json(v) for v in row))) for row in rows]
     return json.dumps(records, indent=2) + "\n"

@@ -18,7 +18,10 @@ raises NumericalError if any eigenvalue fails to converge, rather than
 returning silently wrong nodes.  The rule polishes the QL output with a
 couple of Newton corrections in extended precision before rounding back,
 because downstream identities divide by polynomially small norms and feel
-every spare ulp.
+every spare ulp.  Each correction is one sweep of the plain three-term
+recurrence: the confluent Christoffel-Darboux identity turns the sum of
+squares that the weights need anyway into the derivative Newton needs, so
+no derivative recurrence is run.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import numpy as np
 
 from .model import ModelParams, NumericalError, check_engine, check_int
 from .polynomials import (
+    _three_term_sweep,
     invariant_measure_table,
     monomial_coefficients,
     poly_product,
@@ -55,7 +59,12 @@ _QL_TOL = 1e-14
 _QL_MAX_SWEEPS = 50
 
 
-@lru_cache(maxsize=None)
+# A long-lived process keeps at most 8192 moments.  Moment k is
+# b! / ((a+k+1) ... (a+b+k+1)), whose size grows only like log k; an entry
+# costs about 160 bytes with its cache key at alpha, beta <= 6, k <= 96, so a
+# full cache of such entries is about 1.3 MB.  The 4753 keys alpha, beta <= 6, k <= 96 that the exact-oracle
+# benchmark can reach are never evicted.
+@lru_cache(maxsize=8192)
 def moment(k, params: ModelParams) -> Fraction:
     """Exact k-th moment of the weight: integral of x**k * x**a * (1-x)**b.
 
@@ -159,6 +168,33 @@ def _symmetrized_recurrence(order, params: ModelParams):
     return diag, off, total_mass(params, "float")
 
 
+def _orthonormal_sweep(xs, diag, off, mass):
+    """Long-double p_0..p_M at xs for the data of ``_symmetrized_recurrence``.
+
+    p_k is the orthonormal polynomial Q_k / norm(Q_k): p_0 = 1/sqrt(mass)
+    and x p_k = off[k] p_{k+1} + diag[k] p_k + off[k-1] p_{k-1}, with
+    M = len(diag).
+    """
+    dl = diag.astype(np.longdouble)
+    ol = off.astype(np.longdouble)
+    q0 = np.full_like(xs, 1.0 / np.sqrt(np.longdouble(mass)))
+    return _three_term_sweep(xs, q0, zip(dl, np.concatenate(([0], ol)), ol))
+
+
+def _christoffel_sweep(xs, diag, off, mass):
+    """(sum_{k<M} p_k(xs)**2, p_{M-1}(xs), p_M(xs)) with M = len(diag) >= 1.
+
+    Streams ``_orthonormal_sweep``: only the running sum and the last two
+    polynomials are held, never the M-row table.
+    """
+    sweep = _orthonormal_sweep(xs, diag, off, mass)
+    kernel, p = 0, next(sweep)
+    for p_next in sweep:
+        kernel = kernel + p * p
+        p_prev, p = p, p_next
+    return kernel, p_prev, p
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     """Nodes and weights of an M-point Gauss rule for the weight.
@@ -205,31 +241,19 @@ def gauss_jacobi_rule(order, params: ModelParams) -> QuadratureRule:
     # rotation-accumulated first components drift to ~1e-12 by order 40,
     # which is too coarse for the invariant-measure-weighted identities
     # downstream.  Two Newton corrections in extended precision pin each
-    # node to the same double-precision recurrence the evaluations use, and
-    # the kernel identity mass * v[0]**2 == 1 / sum_k q_k(node)**2 then
-    # rebuilds the weights at matching accuracy.
+    # node to the same double-precision recurrence the evaluations use.  At
+    # a zero of p_M the confluent Christoffel-Darboux identity
+    # sum_{k<M} p_k**2 = off[M-1] * (p_M' p_{M-1} - p_{M-1}' p_M) gives
+    # p_M' = sum_{k<M} p_k**2 / (off[M-1] p_{M-1}), so the Newton step
+    # p_M / p_M' costs one plain sweep (its error is O(p_M**2)).  The kernel
+    # identity mass * v[0]**2 == 1 / sum_{k<M} p_k**2 then rebuilds the
+    # weights at the polished nodes.
     xs = raw_nodes.astype(np.longdouble)
-    dl = diag.astype(np.longdouble)
-    ol = off.astype(np.longdouble)
-    q0 = 1.0 / np.sqrt(np.longdouble(mass))
+    last_off = np.longdouble(off[order - 1])
     for _ in range(2):
-        q_prev = np.zeros_like(xs)
-        d_prev = np.zeros_like(xs)
-        q = np.full_like(xs, q0)
-        d = np.zeros_like(xs)
-        for k in range(order):
-            back = ol[k - 1] if k else np.longdouble(0.0)
-            q_next = ((xs - dl[k]) * q - back * q_prev) / ol[k]
-            d_next = (q + (xs - dl[k]) * d - back * d_prev) / ol[k]
-            q_prev, q, d_prev, d = q, q_next, d, d_next
-        xs = xs - q / d
-    q_prev = np.zeros_like(xs)
-    q = np.full_like(xs, q0)
-    kernel = q * q
-    for k in range(order - 1):
-        back = ol[k - 1] if k else np.longdouble(0.0)
-        q_prev, q = q, ((xs - dl[k]) * q - back * q_prev) / ol[k]
-        kernel += q * q
+        kernel, p_prev, p = _christoffel_sweep(xs, diag, off, mass)
+        xs = xs - last_off * p * p_prev / kernel
+    kernel, _, _ = _christoffel_sweep(xs, diag, off, mass)
     nodes = xs.astype(float)
     weights = (1.0 / kernel).astype(float)
     if not (np.all(nodes > 0.0) and np.all(nodes < 1.0) and np.all(np.diff(nodes) > 0.0)):
@@ -282,15 +306,7 @@ def orthonormality_table(n_max, params: ModelParams, engine: str = "float"):
         ]
     rule = gauss_jacobi_rule(2 * n_max + 1, params)
     diag, off, mass = _symmetrized_recurrence(n_max, params)
-    xs = rule.nodes.astype(np.longdouble)
-    dl = diag.astype(np.longdouble)
-    ol = off.astype(np.longdouble)
-    table = np.empty((size, xs.size), dtype=np.longdouble)
-    table[0] = 1.0 / np.sqrt(np.longdouble(mass))
-    if n_max >= 1:
-        table[1] = (xs - dl[0]) * table[0] / ol[0]
-    for k in range(1, n_max):
-        table[k + 1] = ((xs - dl[k]) * table[k] - ol[k - 1] * table[k - 1]) / ol[k]
+    table = np.array(list(_orthonormal_sweep(rule.nodes.astype(np.longdouble), diag, off, mass)))
     gram = (table * rule.weights.astype(np.longdouble)) @ table.T
     scale = np.array([float(norm) for norm in norms], dtype=np.longdouble)
     ratio = np.sqrt(scale[:, None] / scale[None, :])

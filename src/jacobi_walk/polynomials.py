@@ -97,6 +97,30 @@ def step_coefficients(n, params: ModelParams, engine: str = "float") -> StepCoef
     return StepCoefficients(n=n, up=up, stay=stay, down=down)
 
 
+def _three_term_sweep(x, q0, steps):
+    """Yield q_0 = q0, q_1, ... of the three-term recurrence
+
+        q_{k+1} = ((x - stay_k) * q_k - back_k * q_{k-1}) / fwd_k,  q_{-1} = 0,
+
+    one further value per (stay_k, back_k, fwd_k) that ``steps`` yields.
+    x and q0 may be Fractions, floats, or ndarrays of float64 or long
+    double; the arithmetic stays in their type.  Only the last two values
+    are held, so a caller that keeps running sums needs no table.
+    """
+    q_prev, q = q0 * 0, q0
+    yield q
+    for stay, back, fwd in steps:
+        q, q_prev = ((x - stay) * q - back * q_prev) / fwd, q
+        yield q
+
+
+def _walk_steps(n, params: ModelParams, engine: str):
+    """(stay_k, down_k, up_k) for k = 0..n-1: the sweep's steps for Q_0..Q_n."""
+    for k in range(n):
+        c = step_coefficients(k, params, engine)
+        yield c.stay, c.down, c.up
+
+
 def eval_poly(n, x, params: ModelParams, engine: str = "float"):
     """Evaluate Q_n(x) by the forward recurrence.
 
@@ -109,16 +133,11 @@ def eval_poly(n, x, params: ModelParams, engine: str = "float"):
     check_engine(engine)
     if engine == "exact":
         params.require_integral("engine='exact'")
-        x = Fraction(x)
-        q_prev: Scalar = Fraction(0)
-        q: Scalar = Fraction(1)
+        x, one = Fraction(x), Fraction(1)
     else:
-        x = float(x)
-        q_prev = 0.0
-        q = 1.0
-    for k in range(n):
-        c = step_coefficients(k, params, engine)
-        q, q_prev = ((x - c.stay) * q - c.down * q_prev) / c.up, q
+        x, one = float(x), 1.0
+    for q in _three_term_sweep(x, one, _walk_steps(n, params, engine)):
+        pass
     return q
 
 
@@ -131,17 +150,17 @@ def poly_table(n_max, xs, params: ModelParams) -> np.ndarray:
     n_max = check_int(n_max, "n_max")
     xs = np.asarray(xs, dtype=float)
     out = np.empty((n_max + 1, xs.size))
-    out[0] = 1.0
-    q_prev = np.zeros(xs.size)
-    q = np.ones(xs.size)
-    for k in range(n_max):
-        c = step_coefficients(k, params, "float")
-        q, q_prev = ((xs - c.stay) * q - c.down * q_prev) / c.up, q
-        out[k + 1] = q
+    sweep = _three_term_sweep(xs, np.ones(xs.size), _walk_steps(n_max, params, "float"))
+    for k, q in enumerate(sweep):
+        out[k] = q
     return out
 
 
-@lru_cache(maxsize=None)
+# A long-lived process keeps at most 4096 expansions.  A degree-n entry holds
+# O(n**2) bits, about 6.1 KB at n = 48 with alpha, beta <= 6, so a full cache
+# of such entries is about 25 MB.  The 2401 keys alpha, beta <= 6, n <= 48
+# that the exact-oracle benchmark can reach take 8.5 MB and are never evicted.
+@lru_cache(maxsize=4096)
 def monomial_coefficients(n, params: ModelParams) -> tuple[Fraction, ...]:
     """Exact monomial coefficients of Q_n, lowest degree first."""
     n = check_int(n, "degree")

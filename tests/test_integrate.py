@@ -25,6 +25,7 @@ from jacobi_walk import (
     norm_squared,
     orthonormality_table,
     poly_product,
+    step_coefficients,
     total_mass,
 )
 from jacobi_walk.integrate import _symmetrized_recurrence, _tridiag_eigen_first_components
@@ -97,6 +98,25 @@ class TestGaussRule:
             got = rule.integrate(rule.nodes**k)
             assert abs(got - exact) <= 1e-12 * exact
 
+    @pytest.mark.parametrize("order", [141, 241, 600])
+    @pytest.mark.parametrize("ab", [(0, 0), (6, 6), (0, 6), (-0.5, 2.75)])
+    def test_validity_and_moments_at_benchmark_orders(self, order, ab):
+        # the benchmark's float-sweep builds rules up to order 600 (quadrule)
+        # and 241 (orthocheck)
+        params = ModelParams(*ab)
+        rule = gauss_jacobi_rule(order, params)
+        assert np.all(rule.nodes > 0) and np.all(rule.nodes < 1)
+        assert np.all(np.diff(rule.nodes) > 0)
+        assert np.all(rule.weights > 0)
+        assert rule.weights.sum() == pytest.approx(total_mass(params), rel=1e-13)
+        a, b = params.alpha, params.beta
+        for k in range(11):
+            if params.is_integral:
+                exact = float(moment(k, params))
+            else:
+                exact = math.exp(math.lgamma(a + k + 1) + math.lgamma(b + 1) - math.lgamma(a + b + k + 2))
+            assert rule.integrate(rule.nodes**k) == pytest.approx(exact, rel=1e-12)
+
     def test_cached_and_immutable(self):
         params = ModelParams(1, 1)
         rule = gauss_jacobi_rule(6, params)
@@ -125,6 +145,38 @@ class TestGaussRule:
         _, first = _tridiag_eigen_first_components(diag, off[: order - 1])
         rule = gauss_jacobi_rule(order, params)
         assert rule.weights == pytest.approx(mass * first**2, rel=1e-9)
+
+
+class TestChristoffelDarboux:
+    """The confluent Christoffel-Darboux identity behind the Newton polish:
+
+        sum_{k<M} Q_k(x)**2 / norm_squared(k)
+            = up_{M-1} / norm_squared(M-1) * (Q_M' Q_{M-1} - Q_{M-1}' Q_M)(x)
+
+    holds exactly for every rational x, inside [0, 1] or not.
+    """
+
+    @pytest.mark.parametrize("ab", [(0, 0), (2, 1), (3, 5), (6, 0)])
+    def test_confluent_identity_exact(self, ab):
+        params = ModelParams(*ab)
+
+        def value(coeffs, x):
+            return sum(c * x**k for k, c in enumerate(coeffs))
+
+        def slope(coeffs, x):
+            return sum(k * c * x ** (k - 1) for k, c in enumerate(coeffs) if k)
+
+        for m in range(1, 10):
+            q_m = monomial_coefficients(m, params)
+            q_below = monomial_coefficients(m - 1, params)
+            scale = step_coefficients(m - 1, params, "exact").up / norm_squared(m - 1, params, "exact")
+            for x in (F(-3, 2), F(0), F(2, 7), F(1, 2), F(1), F(9, 4)):
+                kernel = sum(
+                    value(monomial_coefficients(k, params), x) ** 2 / norm_squared(k, params, "exact")
+                    for k in range(m)
+                )
+                wronskian = slope(q_m, x) * value(q_below, x) - slope(q_below, x) * value(q_m, x)
+                assert kernel == scale * wronskian
 
 
 class TestOrthonormalityTable:
