@@ -9,7 +9,8 @@ array of row objects keyed by the column names.
 
 Exit codes: 0 success, 2 argument error (message names the offending
 flag; an unwritable --output counts as one), 3 numerical failure (e.g. the
-quadrature eigensolver refusing to converge).
+quadrature eigensolver refusing to converge, or a float cell that came out
+inf or nan, which is never printed).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -244,6 +246,14 @@ def cmd_quadrule(args) -> tuple[list[str], list[list]]:
     return ["index", "node", "weight"], rows
 
 
+def _check_finite(columns: list[str], rows: list[list]) -> None:
+    """Raise NumericalError naming the first inf or nan float cell."""
+    for row in rows:
+        for k, value in enumerate(row):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise NumericalError(f"{columns[k]} is {value!r} at {columns[0]}={row[0]}")
+
+
 def _cell_json(value):
     if isinstance(value, Fraction):
         return str(value)
@@ -270,6 +280,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         columns, rows = args.run(args)
+        _check_finite(columns, rows)
     except UsageError as exc:
         print(f"jacobi-walk: error: {exc}", file=sys.stderr)
         return 2

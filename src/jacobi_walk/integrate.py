@@ -10,18 +10,24 @@ Two independent routes:
 An M-point rule integrates polynomials of degree <= 2M - 1 exactly, which
 the tests exploit by checking quadrature against the rational route.
 
-The symmetric tridiagonal eigensolver underneath Golub-Welsch is written
-out here (implicit-shift QL with accumulation of first eigenvector
-components only) rather than taken from a linear-algebra package, keeping
-the quadrature path dependency-light and the failure mode explicit: it
-raises NumericalError if any eigenvalue fails to converge, rather than
-returning silently wrong nodes.  The rule polishes the QL output with a
-couple of Newton corrections in extended precision before rounding back,
-because downstream identities divide by polynomially small norms and feel
-every spare ulp.  Each correction is one sweep of the plain three-term
-recurrence: the confluent Christoffel-Darboux identity turns the sum of
-squares that the weights need anyway into the derivative Newton needs, so
-no derivative recurrence is run.
+The rule is built in three steps, each written out here rather than taken
+from a linear-algebra package, which keeps the quadrature path
+dependency-light and its failure mode explicit:
+
+1. the nodes start as the eigenvalues of the Jacobi matrix, found by an
+   implicit-shift QL iteration that accumulates no eigenvectors and raises
+   NumericalError if any eigenvalue fails to converge;
+2. two Newton corrections in extended precision move each node toward the
+   zero of p_M on the double-precision recurrence the evaluations use.
+   Each correction is one sweep of the plain three-term recurrence: the
+   confluent Christoffel-Darboux identity turns the sum of squares
+   sum_k p_k**2 into the derivative Newton needs, so no derivative
+   recurrence is run;
+3. the weights are 1 / sum_k p_k**2 at the corrected nodes (the
+   Christoffel-Darboux kernel), read off a final sweep.
+
+The extended precision matters because downstream identities divide by
+polynomially small norms and feel every spare ulp.
 """
 
 from __future__ import annotations
@@ -87,20 +93,17 @@ def integrate_poly_exact(coeffs, params: ModelParams) -> Fraction:
     return sum((Fraction(c) * moment(k, params) for k, c in enumerate(coeffs)), Fraction(0))
 
 
-def _tridiag_eigen_first_components(diag, off):
-    """Eigen-decomposition data of a symmetric tridiagonal matrix.
+def _tridiag_eigenvalues(diag, off):
+    """Eigenvalues of a symmetric tridiagonal matrix, ascending.
 
-    Implicit-shift QL iteration; only the first component of each
-    eigenvector is accumulated, which is all Golub-Welsch needs.  Returns
-    (eigenvalues ascending, matching first components).
+    Implicit-shift QL iteration on the diagonal ``diag`` and the
+    off-diagonal ``off`` (one shorter); no eigenvector data is accumulated.
     """
     d = [float(v) for v in diag]
     e = [float(v) for v in off] + [0.0]
     n = len(d)
     if len(off) != n - 1:
         raise ValueError("off-diagonal must be one shorter than the diagonal")
-    z = [0.0] * n
-    z[0] = 1.0
     for l in range(n):
         sweeps = 0
         while True:
@@ -139,17 +142,11 @@ def _tridiag_eigen_first_components(diag, off):
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - h
-                f = z[i + 1]
-                z[i + 1] = s * z[i] + c * f
-                z[i] = c * z[i] - s * f
             else:
                 d[l] -= p
                 e[l] = g
                 e[m] = 0.0
-    order = sorted(range(n), key=d.__getitem__)
-    values = np.array([d[i] for i in order])
-    first = np.array([z[i] for i in order])
-    return values, first
+    return np.array(sorted(d))
 
 
 def _symmetrized_recurrence(order, params: ModelParams):
@@ -229,25 +226,33 @@ def gauss_jacobi_rule(order, params: ModelParams) -> QuadratureRule:
 
     The Jacobi matrix is the symmetric tridiagonal with stay_0..stay_{M-1}
     on the diagonal and sqrt(up_n * down_{n+1}) off it; its eigenvalues are
-    the nodes, and the squared first eigenvector components scaled by the
-    weight's total mass are the weights.  Raises NumericalError if the
+    the nodes.  Two Christoffel-Darboux Newton corrections polish them, and
+    the weights are the reciprocal Christoffel-Darboux kernel at the
+    polished nodes (equal to the weight's total mass times the squared
+    first eigenvector components).  Raises NumericalError if the
     eigensolver stalls or the resulting rule violates its validity
     invariants (node ordering and containment, weight positivity).
     """
     order = check_int(order, "quadrature order", 1)
     diag, off, mass = _symmetrized_recurrence(order, params)
-    raw_nodes, _ = _tridiag_eigen_first_components(diag, off[: order - 1])
-    # The QL eigenvalues carry a few ulps of backward error and the
-    # rotation-accumulated first components drift to ~1e-12 by order 40,
-    # which is too coarse for the invariant-measure-weighted identities
-    # downstream.  Two Newton corrections in extended precision pin each
-    # node to the same double-precision recurrence the evaluations use.  At
-    # a zero of p_M the confluent Christoffel-Darboux identity
+    raw_nodes = _tridiag_eigenvalues(diag, off[: order - 1])
+    # The QL eigenvalues carry a few ulps of backward error, too coarse for
+    # the invariant-measure-weighted identities downstream, so two Newton
+    # corrections in extended precision move each node toward the zero of
+    # p_M on the same double-precision recurrence the evaluations use.  At a
+    # zero of p_M the confluent Christoffel-Darboux identity
     # sum_{k<M} p_k**2 = off[M-1] * (p_M' p_{M-1} - p_{M-1}' p_M) gives
     # p_M' = sum_{k<M} p_k**2 / (off[M-1] p_{M-1}), so the Newton step
-    # p_M / p_M' costs one plain sweep (its error is O(p_M**2)).  The kernel
-    # identity mass * v[0]**2 == 1 / sum_{k<M} p_k**2 then rebuilds the
-    # weights at the polished nodes.
+    # p_M / p_M' costs one plain sweep (its error is O(p_M**2)).  Measured
+    # against the sign change of p_M evaluated exactly on the same data,
+    # nodes of index >= 4 land within 1 ulp at orders 97 and 241, but the
+    # smallest node of a weight that is singular at 0 does not: node 0 of
+    # (alpha, beta) = (-0.99, 3.5) ends 41 ulps away at order 241 and 86 at
+    # order 600.  Three to five corrections, from this start or from
+    # LAPACK's, leave that node 67 to 169 ulps away, so the long-double
+    # evaluation near x = 0 sets the limit, not the number of corrections.
+    # The kernel identity mass * v[0]**2 == 1 / sum_{k<M} p_k**2 then
+    # rebuilds the weights at the polished nodes.
     xs = raw_nodes.astype(np.longdouble)
     last_off = np.longdouble(off[order - 1])
     for _ in range(2):

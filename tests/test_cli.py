@@ -7,6 +7,7 @@ import subprocess
 import sys
 from contextlib import redirect_stdout
 
+import numpy as np
 import pytest
 
 from jacobi_walk import ModelParams, stationarity_residuals
@@ -240,6 +241,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("jacobi-walk: error: --output ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "argv, cell",
+        [
+            (("eval", "--n-max", "3000", "--alpha", "300", "--x", "0"), "value is inf at n=1044"),
+            (
+                ("stationary", "--n-max", "3000", "--alpha", "300", "--beta", "300"),
+                "residual is inf at i=444",
+            ),
+        ],
+    )
+    def test_non_finite_float_is_numerical_failure(self, tmp_path, capsys, argv, cell, fmt):
+        # float overflow must not print inf/nan (nor invalid JSON Infinity)
+        target = tmp_path / "table.out"
+        for output in ("-", str(target)):
+            with np.errstate(all="ignore"):
+                code, text = run_cli(*argv, "--format", fmt, "--output", output)
+            assert code == 3 and text == ""
+            assert f"jacobi-walk: numerical failure: {cell}" in capsys.readouterr().err
+        assert not target.exists()
 
     def test_success_is_zero(self):
         code, _ = run_cli("coeffs", "--n-max", "2")

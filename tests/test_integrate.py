@@ -28,7 +28,7 @@ from jacobi_walk import (
     step_coefficients,
     total_mass,
 )
-from jacobi_walk.integrate import _symmetrized_recurrence, _tridiag_eigen_first_components
+from jacobi_walk.integrate import _symmetrized_recurrence, _tridiag_eigenvalues
 
 F = Fraction
 
@@ -136,15 +136,17 @@ class TestGaussRule:
 
     @pytest.mark.parametrize("ab", [(0, 0), (4, 2), (5, 5)])
     def test_weights_match_eigenvector_route(self, ab):
-        # dual route: the squared first eigenvector components straight from
-        # the QL sweeps must agree with the shipped kernel-identity weights
-        # up to the rotations' own ~1e-12 drift
+        # dual route (Golub-Welsch): the weight's total mass times the
+        # squared first eigenvector components of the dense Jacobi matrix,
+        # from LAPACK, must agree with the shipped kernel-identity weights
+        # (measured worst 1.3e-13 relative)
         params = ModelParams(*ab)
         order = 33
         diag, off, mass = _symmetrized_recurrence(order, params)
-        _, first = _tridiag_eigen_first_components(diag, off[: order - 1])
+        jacobi = np.diag(diag) + np.diag(off[: order - 1], 1) + np.diag(off[: order - 1], -1)
+        _, vectors = np.linalg.eigh(jacobi)
         rule = gauss_jacobi_rule(order, params)
-        assert rule.weights == pytest.approx(mass * first**2, rel=1e-9)
+        assert rule.weights == pytest.approx(mass * vectors[0, :] ** 2, rel=1e-12)
 
 
 class TestChristoffelDarboux:
@@ -177,6 +179,59 @@ class TestChristoffelDarboux:
                 )
                 wronskian = slope(q_m, x) * value(q_below, x) - slope(q_below, x) * value(q_m, x)
                 assert kernel == scale * wronskian
+
+
+def _exact_sign_of_p_m(x, diag, off):
+    """Sign of p_M(x), M = len(diag), evaluated exactly on double data.
+
+    p_M is a positive multiple of the monic P_M with
+    P_{k+1} = (x - diag[k]) P_k - off[k-1]**2 P_{k-1}.  Every double is a
+    dyadic Fraction, so multiplying x and diag by their common denominator
+    S (and off**2 by S**2) keeps the whole sweep in exact integers.
+    """
+    x = F(float(x))
+    diag = [F(float(v)) for v in diag]
+    off = [F(float(v)) for v in off[: len(diag) - 1]]
+    scale = max(v.denominator for v in [x, *diag, *off])
+    prev, cur = 0, 1
+    for k, d in enumerate(diag):
+        back = int(off[k - 1] ** 2 * scale**2) * prev if k else 0
+        prev, cur = cur, int((x - d) * scale) * cur - back
+    return (cur > 0) - (cur < 0)
+
+
+def _brackets_zero(x, ulps, diag, off):
+    """True when p_M changes sign (or vanishes) within x -+ ulps ulps."""
+    lo, hi = x, x
+    for _ in range(ulps):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+    below, above = _exact_sign_of_p_m(lo, diag, off), _exact_sign_of_p_m(hi, diag, off)
+    return below * above <= 0
+
+
+class TestPolishAgainstExactRecurrence:
+    """The polished nodes against the zeros of p_M on the same double data.
+
+    p_M is evaluated exactly, so these tests measure how close the two
+    long-double Newton corrections get to the recurrence they target.
+    """
+
+    @pytest.mark.parametrize("order", [97, 241])
+    @pytest.mark.parametrize("ab", [(0, 0), (3, 5), (-0.5, 2.75)])
+    def test_nodes_within_one_ulp(self, order, ab):
+        params = ModelParams(*ab)
+        diag, off, _ = _symmetrized_recurrence(order, params)
+        rule = gauss_jacobi_rule(order, params)
+        for k in (4, 5, order // 4, order // 2, 3 * order // 4, order - 1):
+            assert _brackets_zero(rule.nodes[k], 1, diag, off), k
+
+    def test_smallest_node_of_singular_weight(self):
+        # near x = 0 the long-double sweep limits the polish, not the number
+        # of corrections (measured: 41 ulps)
+        params = ModelParams(-0.99, 3.5)
+        diag, off, _ = _symmetrized_recurrence(241, params)
+        rule = gauss_jacobi_rule(241, params)
+        assert _brackets_zero(rule.nodes[0], 64, diag, off)
 
 
 class TestOrthonormalityTable:
@@ -255,26 +310,19 @@ class TestEigensolver:
         rng = np.random.default_rng(12345 + n)
         diag = rng.uniform(-2.0, 2.0, n)
         off = rng.uniform(0.1, 1.5, n - 1) if n > 1 else np.array([])
-        values, first = _tridiag_eigen_first_components(diag, off)
+        values = _tridiag_eigenvalues(diag, off)
         full = np.diag(diag)
         for k in range(n - 1):
             full[k, k + 1] = full[k + 1, k] = off[k]
-        ref_values, ref_vectors = np.linalg.eigh(full)
-        assert values == pytest.approx(ref_values, abs=1e-12)
-        # eigenvector sign is arbitrary; compare first-component magnitudes
-        assert np.abs(first) == pytest.approx(np.abs(ref_vectors[0, :]), abs=1e-10)
-
-    def test_first_components_are_unit_vector_row(self):
-        values, first = _tridiag_eigen_first_components([0.3, 0.6, 0.9], [0.2, 0.4])
-        assert float(np.sum(first**2)) == pytest.approx(1.0, abs=1e-14)
+        assert values == pytest.approx(np.linalg.eigvalsh(full), abs=1e-12)
 
     def test_iteration_cap_raises(self, monkeypatch):
         import jacobi_walk.integrate as integrate_module
 
         monkeypatch.setattr(integrate_module, "_QL_MAX_SWEEPS", 0)
         with pytest.raises(NumericalError):
-            _tridiag_eigen_first_components([0.5, 0.25], [0.3])
+            _tridiag_eigenvalues([0.5, 0.25], [0.3])
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            _tridiag_eigen_first_components([1.0, 2.0], [0.1, 0.2])
+            _tridiag_eigenvalues([1.0, 2.0], [0.1, 0.2])
