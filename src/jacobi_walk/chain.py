@@ -5,7 +5,7 @@ up_n) at columns (n-1, n, n+1).  Two independent routes to the t-step
 probabilities (P^t)_{ij} live here:
 
 * ``matrix_power_transition``: t banded row-vector products in exact
-  rational arithmetic on a finite truncation.  The truncation at
+  arithmetic on a finite truncation.  The truncation at
   N = max(i, j) + t + 1 states is exact, not approximate: starting from i,
   t steps of a tridiagonal walk reach at most state i + t, and the only
   coefficient the truncation drops (the up-move out of state N - 1) is
@@ -21,14 +21,18 @@ probabilities (P^t)_{ij} live here:
   integrates every cell of a row up to its last reachable column
   reach = min(j_max, i + t) exactly up to rounding; the row is one product
   of that rule's poly_table with the weighted x^t Q_i values.  In exact
-  mode the integrand is expanded in the monomial basis and pushed through
-  the rational moments, cell by cell.
+  mode the cell is pi_j sum_{k,l} c_ik c_jl mu_{t+k+l} over the
+  closed-form monomial coefficients c and the normalized moments mu; the
+  row forms r_l = sum_k c_ik mu_{t+k+l} once and reads every cell off it
+  as pi_j sum_l c_jl r_l, in integers over common denominators.
 
 Banded propagation runs one step body on ndarrays for both engines:
-float64 for the float engine, dtype object holding Fractions for the exact
-one.  Each state's new mass adds the same products in the same order as a
-plain loop over states would, so neither engine's results depend on the
-vectorization.
+float64 for the float engine, dtype object holding integers for the exact
+one (the bands over one common denominator, see ``matrix_power_row``).
+Each state's new mass adds the same products in the same order as a plain
+loop over states would, so neither engine's results depend on the
+vectorization.  ``BandedTransition.propagate`` and the exact
+``stationarity_residuals`` run the same step on Fractions.
 
 ``stationarity_residuals`` checks the fixed-point identity pi P = pi for
 the pi_0-normalized invariant measure state by state, forming pi P with
@@ -42,6 +46,7 @@ residual would be dominated by the largest retained component's rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,14 +56,11 @@ from .model import ModelParams, NumericalError, check_engine, check_int
 from .polynomials import (
     StepCoefficients,
     invariant_measure_table,
-    monomial_coefficients,
-    norm_squared,
-    poly_product,
     poly_table,
     step_coefficients,
     total_mass,
 )
-from .integrate import gauss_jacobi_rule, integrate_poly_exact, moment
+from .integrate import _exact_spectral_cells, gauss_jacobi_rule
 
 __all__ = [
     "BandedTransition",
@@ -152,20 +154,37 @@ def matrix_power_row(t, i, j_max, params: ModelParams, engine: str = "exact") ->
     """Row i of P^t, entries j = 0..j_max, by repeated banded products.
 
     Exact by the truncation argument in the module docstring; the float
-    variant runs the same recursion in binary64.
+    variant runs the same recursion in binary64.  The exact variant runs on
+    integers: every band entry is scaled to an integer over one common
+    denominator D, so after each step the row is an integer vector m over a
+    scale that has gained a factor D.  Cancelling the gcd of the scale and
+    all of m after every step keeps the integers near the size of the
+    row's reduced denominators; the row is m_j / scale.
     """
     t = check_int(t, "t")
     i = check_int(i, "i")
     j_max = check_int(j_max, "j_max")
-    diag, sup, sub = build_transition(max(i, j_max) + t + 1, params, engine)._bands()
-    one = Fraction(1) if engine == "exact" else 1.0
-    zero = Fraction(0) if engine == "exact" else 0.0
-    mass = np.full(diag.size, zero, dtype=diag.dtype)
-    mass[i] = one
+    bands = build_transition(max(i, j_max) + t + 1, params, engine)._bands()
+    mass = np.zeros(bands[0].size, dtype=bands[0].dtype)
+    mass[i] = 1
+    if engine == "float":
+        for _ in range(t):
+            mass = _banded_step(mass, *bands)
+        # tolist yields plain floats, never np.float64
+        return mass[: j_max + 1].tolist()
+    den = math.lcm(*(c.denominator for band in bands for c in band))
+    bands = [
+        np.array([c.numerator * (den // c.denominator) for c in band], dtype=object)
+        for band in bands
+    ]
+    scale = 1
     for _ in range(t):
-        mass = _banded_step(mass, diag, sup, sub)
-    # tolist yields plain floats or the Fractions themselves, never np.float64
-    return mass[: j_max + 1].tolist()
+        mass = _banded_step(mass, *bands)
+        scale *= den
+        common = math.gcd(scale, *mass)
+        mass //= common
+        scale //= common
+    return [Fraction(m, scale) for m in mass[: j_max + 1].tolist()]
 
 
 def matrix_power_transition(t, i, j, params: ModelParams) -> Fraction:
@@ -210,11 +229,11 @@ def _float_spectral_row(t: int, i: int, j_max: int, params: ModelParams) -> list
 def spectral_transition(t, i, j, params: ModelParams, engine: str = "float"):
     """(P^t)_{ij} via the Karlin-McGregor integral representation.
 
-    Float mode is entry j of ``spectral_transition_row`` with j_max = j, so
-    its Gauss rule has floor((t+i+j)/2) + 1 nodes; it clamps rounding dust
-    at the [0, 1] boundary (within 1e-9) and raises NumericalError further
-    out.  Exact mode returns a Fraction and requires integer parameters.
-    Cells with |i - j| > t are unreachable and exactly zero.
+    Entry j of ``spectral_transition_row`` with j_max = j; in float mode its
+    Gauss rule has floor((t+i+j)/2) + 1 nodes.  Float mode clamps rounding
+    dust at the [0, 1] boundary (within 1e-9) and raises NumericalError
+    further out.  Exact mode returns a Fraction and requires integer
+    parameters.  Cells with |i - j| > t are unreachable and exactly zero.
     """
     t = check_int(t, "t")
     i = check_int(i, "i")
@@ -223,29 +242,28 @@ def spectral_transition(t, i, j, params: ModelParams, engine: str = "float"):
     if abs(i - j) > t:
         # unreachable in t steps of a birth-death walk
         return Fraction(0) if engine == "exact" else 0.0
-    if engine == "exact":
-        params.require_integral("engine='exact'")
-        product = poly_product(
-            monomial_coefficients(i, params), monomial_coefficients(j, params)
-        )
-        # integral of x^t * Qi * Qj: the x^t shift is a moment offset
-        total = sum(
-            (c * moment(k + t, params) for k, c in enumerate(product) if c), Fraction(0)
-        )
-        return total / norm_squared(j, params, "exact")
-    return _float_spectral_row(t, i, j, params)[j]
+    return spectral_transition_row(t, i, params, j, engine)[j]
 
 
 def spectral_transition_row(t, i, params: ModelParams, j_max, engine: str = "float") -> list:
     """Row i of P^t for j = 0..j_max via the spectral representation.
 
     Float mode builds one Gauss rule and one polynomial table for the whole
-    row; exact mode integrates cell by cell.
+    row; exact mode forms the row's moment sums once and reads each cell
+    off them.  Unreachable cells are exactly zero in both.
     """
+    t = check_int(t, "t")
+    i = check_int(i, "i")
     j_max = check_int(j_max, "j_max")
+    check_engine(engine)
     if engine == "float":
-        return _float_spectral_row(check_int(t, "t"), check_int(i, "i"), j_max, params)
-    return [spectral_transition(t, i, j, params, engine) for j in range(j_max + 1)]
+        return _float_spectral_row(t, i, j_max, params)
+    params.require_integral("engine='exact'")
+    row = [Fraction(0)] * (j_max + 1)
+    first, reach = max(0, i - t), min(j_max, i + t)
+    if first <= reach:
+        row[first : reach + 1] = _exact_spectral_cells(t, [i], range(first, reach + 1), params)[0]
+    return row
 
 
 def stationarity_residuals(N, params: ModelParams, engine: str = "float") -> tuple[list, list]:
@@ -261,8 +279,10 @@ def stationarity_residuals(N, params: ModelParams, engine: str = "float") -> tup
     pi = invariant_measure_table(N - 1, params, engine)
     diag, sup, sub = build_transition(N, params, engine)._bands()
     measure = np.array(pi, dtype=diag.dtype)
-    flow = _banded_step(measure, diag, sup, sub)[:-1]
-    residuals = abs(flow - measure[:-1]) / measure[:-1]
+    # a float overflow leaves inf or nan for the caller to check
+    with np.errstate(all="ignore"):
+        flow = _banded_step(measure, diag, sup, sub)[:-1]
+        residuals = abs(flow - measure[:-1]) / measure[:-1]
     # tolist yields plain floats or the Fractions themselves
     return pi, residuals.tolist()
 

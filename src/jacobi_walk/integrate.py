@@ -10,6 +10,15 @@ Two independent routes:
 An M-point rule integrates polynomials of degree <= 2M - 1 exactly, which
 the tests exploit by checking quadrature against the rational route.
 
+The exact route runs on integers over common denominators.  The moments
+scaled to unit mass, mu_k = (a+1)_k / (a+b+2)_k, share the denominator
+(a+b+2)_K up to order K; a polynomial's coefficients share the lcm of
+theirs, and the closed-form coefficients of Q_n share (b+1)_n.  An
+integral is then one integer dot product and one Fraction.  The exact
+Gram matrix C H C^T diag(pi), with C the coefficient matrix and H the
+Hankel matrix of the mu_k, and the exact spectral transition rows of
+``chain`` come from one such bilinear form, ``_exact_spectral_cells``.
+
 The rule is built in three steps, each written out here rather than taken
 from a linear-algebra package, which keeps the quadrature path
 dependency-light and its failure mode explicit:
@@ -33,6 +42,7 @@ polynomially small norms and feel every spare ulp.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -41,10 +51,11 @@ import numpy as np
 
 from .model import ModelParams, NumericalError, check_engine, check_int
 from .polynomials import (
+    _coefficient_numerators,
+    _common_denominator,
+    _rising,
     _three_term_sweep,
     invariant_measure_table,
-    monomial_coefficients,
-    poly_product,
     step_coefficients,
     total_mass,
 )
@@ -68,8 +79,8 @@ _QL_MAX_SWEEPS = 50
 # A long-lived process keeps at most 8192 moments.  Moment k is
 # b! / ((a+k+1) ... (a+b+k+1)), whose size grows only like log k; an entry
 # costs about 160 bytes with its cache key at alpha, beta <= 6, k <= 96, so a
-# full cache of such entries is about 1.3 MB.  The 4753 keys alpha, beta <= 6, k <= 96 that the exact-oracle
-# benchmark can reach are never evicted.
+# full cache of such entries is about 1.3 MB.  The exact engine itself reads
+# the normalized moments of ``_normalized_moments`` instead.
 @lru_cache(maxsize=8192)
 def moment(k, params: ModelParams) -> Fraction:
     """Exact k-th moment of the weight: integral of x**k * x**a * (1-x)**b.
@@ -83,14 +94,69 @@ def moment(k, params: ModelParams) -> Fraction:
     )
 
 
+def _normalized_moments(k_max: int, a: int, b: int) -> tuple[list[int], int]:
+    """Integers A_0..A_{k_max} and B with mu_k = A_k / B, for integer a, b.
+
+    mu_k = moment(k) / moment(0) = (a+1)_k / (a+b+2)_k is the k-th moment of
+    the weight scaled to unit mass (a ratio of Beta functions, DLMF 5.12.1).
+    Over B = (a+b+2)_{k_max}, A_k = (a+1)_k (a+b+2+k)_{k_max-k}, and
+    A_{k+1} = A_k (a+1+k) / (a+b+2+k) exactly.
+    """
+    bottom = _rising(a + b + 2, k_max)
+    tops = [bottom]
+    for k in range(k_max):
+        tops.append(tops[-1] * (a + 1 + k) // (a + b + 2 + k))
+    return tops, bottom
+
+
 def integrate_poly_exact(coeffs, params: ModelParams) -> Fraction:
     """Exact weighted integral of a polynomial given by monomial coefficients.
 
     ``coeffs`` lists the coefficients lowest degree first (Fractions or
-    ints); the result is sum_k coeffs[k] * moment(k).
+    ints); the result is sum_k coeffs[k] * moment(k), formed as total_mass
+    times one integer dot product of the coefficients and the normalized
+    moments over their common denominators.
     """
-    params.require_integral("integrate_poly_exact")
-    return sum((Fraction(c) * moment(k, params) for k, c in enumerate(coeffs)), Fraction(0))
+    a, b = params.require_integral("integrate_poly_exact")
+    nums, den = _common_denominator(coeffs)
+    tops, bottom = _normalized_moments(len(nums) - 1, a, b)
+    mass = total_mass(params, "exact")
+    return Fraction(
+        mass.numerator * sum(map(operator.mul, nums, tops)), mass.denominator * den * bottom
+    )
+
+
+def _exact_spectral_cells(t: int, rows, cols, params: ModelParams) -> list[list[Fraction]]:
+    """pi_j * integral(x**t Q_i Q_j W) / total_mass for i in rows, j in cols.
+
+    In the monomial basis a cell is pi_j sum_{k,l} c_ik c_jl mu_{t+k+l}.
+    With c_ik = N_ik / D_i and mu_m = A_m / B, row i first forms the
+    integers r_l = sum_k N_ik A_{t+k+l} once, and cell j is then
+    pi_j sum_l N_jl r_l / (D_i D_j B), one Fraction per cell.  At t = 0 the
+    cells are the Gram matrix C H C^T diag(pi), H being the Hankel matrix
+    of the normalized moments.
+    """
+    a, b = params.require_integral("engine='exact'")
+    degree = max(cols)
+    tops, bottom = _normalized_moments(t + max(rows) + degree, a, b)
+    poly = {n: _coefficient_numerators(n, a, b) for n in {*rows, *cols}}
+    pi = invariant_measure_table(degree, params, "exact")
+    table = []
+    for i in rows:
+        nums_i, den_i = poly[i]
+        shifted = [
+            sum(map(operator.mul, nums_i, tops[t + l : t + l + i + 1])) for l in range(degree + 1)
+        ]
+        table.append(
+            [
+                Fraction(
+                    pi[j].numerator * sum(map(operator.mul, poly[j][0], shifted)),
+                    pi[j].denominator * den_i * poly[j][1] * bottom,
+                )
+                for j in cols
+            ]
+        )
+    return table
 
 
 def _tridiag_eigenvalues(diag, off):
@@ -185,10 +251,13 @@ def _christoffel_sweep(xs, diag, off, mass):
     polynomials are held, never the M-row table.
     """
     sweep = _orthonormal_sweep(xs, diag, off, mass)
-    kernel, p = 0, next(sweep)
-    for p_next in sweep:
-        kernel = kernel + p * p
-        p_prev, p = p, p_next
+    # non-finite values fail the rule's validity checks; see poly_table for
+    # why the errstate wraps the consuming loop
+    with np.errstate(all="ignore"):
+        kernel, p = 0, next(sweep)
+        for p_next in sweep:
+            kernel = kernel + p * p
+            p_prev, p = p, p_next
     return kernel, p_prev, p
 
 
@@ -283,36 +352,31 @@ def integrate_quadrature(f, order, params: ModelParams) -> float:
 def orthonormality_table(n_max, params: ModelParams, engine: str = "float"):
     """Table of integral(Q_i * Q_j * W) / norm_squared(j) for i, j <= n_max.
 
-    The exact engine integrates the monomial expansions and returns a nested
-    list of Fractions, equal to the identity matrix by orthogonality.  The
-    float engine quadratures the orthonormalized recurrence against a rule
-    of 2 * n_max + 1 nodes and rescales each entry by norm_i / norm_j,
-    returning an ndarray.  Entries with j >> i divide near-cancelled dust by
+    The exact engine forms the Gram matrix C H C^T diag(pi) from the
+    closed-form coefficients C and the Hankel matrix H of the normalized
+    moments, and returns a nested list of Fractions, equal to the identity
+    matrix by orthogonality.  The float engine quadratures the
+    orthonormalized recurrence against a rule of 2 * n_max + 1 nodes and
+    rescales each entry by norm_i / norm_j, returning an ndarray.  Entries with j >> i divide near-cancelled dust by
     a polynomially small norm, so the float gram is accumulated in extended
     precision and rounded once at the end; plain double evaluation loses an
     order of magnitude there.
     """
     n_max = check_int(n_max, "n_max")
     check_engine(engine)
-    size = n_max + 1
+    if engine == "exact":
+        return _exact_spectral_cells(0, range(n_max + 1), range(n_max + 1), params)
     # norm_squared(j) is total_mass / pi_j; one pi table serves every j, in
     # rational arithmetic whenever the exponents allow it
     norm_engine = "exact" if params.is_integral else "float"
     weight_mass = total_mass(params, norm_engine)
     norms = [weight_mass / pi for pi in invariant_measure_table(n_max, params, norm_engine)]
-    if engine == "exact":
-        coeffs = [monomial_coefficients(n, params) for n in range(size)]
-        return [
-            [
-                integrate_poly_exact(poly_product(coeffs[i], coeffs[j]), params) / norms[j]
-                for j in range(size)
-            ]
-            for i in range(size)
-        ]
     rule = gauss_jacobi_rule(2 * n_max + 1, params)
     diag, off, mass = _symmetrized_recurrence(n_max, params)
-    table = np.array(list(_orthonormal_sweep(rule.nodes.astype(np.longdouble), diag, off, mass)))
-    gram = (table * rule.weights.astype(np.longdouble)) @ table.T
-    scale = np.array([float(norm) for norm in norms], dtype=np.longdouble)
-    ratio = np.sqrt(scale[:, None] / scale[None, :])
-    return (gram * ratio).astype(float)
+    with np.errstate(all="ignore"):
+        sweep = _orthonormal_sweep(rule.nodes.astype(np.longdouble), diag, off, mass)
+        table = np.array(list(sweep))
+        gram = (table * rule.weights.astype(np.longdouble)) @ table.T
+        scale = np.array([float(norm) for norm in norms], dtype=np.longdouble)
+        ratio = np.sqrt(scale[:, None] / scale[None, :])
+        return (gram * ratio).astype(float)

@@ -151,45 +151,74 @@ def poly_table(n_max, xs, params: ModelParams) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     out = np.empty((n_max + 1, xs.size))
     sweep = _three_term_sweep(xs, np.ones(xs.size), _walk_steps(n_max, params, "float"))
-    for k, q in enumerate(sweep):
-        out[k] = q
+    # An overflow leaves inf or nan in the table for the caller to check, so
+    # numpy's warnings are silenced.  The errstate wraps the loop that drives
+    # the sweep: inside the generator it would stay in force across each
+    # yield, in whatever code the caller runs between values.
+    with np.errstate(all="ignore"):
+        for k, q in enumerate(sweep):
+            out[k] = q
     return out
+
+
+def _rising(x: int, n: int) -> int:
+    """The rising factorial (x)_n = x (x+1) ... (x+n-1)."""
+    return math.prod(range(x, x + n))
+
+
+def _coefficient_numerators(n: int, a: int, b: int) -> tuple[list[int], int]:
+    """Integers N_0..N_n and D with Q_n(x) = sum_k N_k x**k / D, for integer a, b.
+
+    From the hypergeometric form (DLMF 18.5.7, mapped to [0, 1] and scaled
+    so that Q_n(1) = 1 by Chu-Vandermonde)
+
+        Q_n(x) = (-1)^n (a+1)_n / (b+1)_n * 2F1(-n, n+a+b+1; a+1; x),
+
+    D = (b+1)_n and N_k = (-1)^(n+k) C(n, k) (a+k+1)_(n-k) (n+a+b+1)_k.  The
+    term ratio N_{k+1} / N_k = (k-n)(n+a+b+1+k) / ((k+1)(a+k+1)) builds them
+    in O(n) integer steps, each division exact.
+    """
+    top = (-1) ** n * _rising(a + 1, n)
+    nums = [top]
+    for k in range(n):
+        top = top * (k - n) * (n + a + b + 1 + k) // ((k + 1) * (a + k + 1))
+        nums.append(top)
+    return nums, _rising(b + 1, n)
 
 
 # A long-lived process keeps at most 4096 expansions.  A degree-n entry holds
 # O(n**2) bits, about 6.1 KB at n = 48 with alpha, beta <= 6, so a full cache
-# of such entries is about 25 MB.  The 2401 keys alpha, beta <= 6, n <= 48
-# that the exact-oracle benchmark can reach take 8.5 MB and are never evicted.
+# of such entries is about 25 MB.
 @lru_cache(maxsize=4096)
 def monomial_coefficients(n, params: ModelParams) -> tuple[Fraction, ...]:
     """Exact monomial coefficients of Q_n, lowest degree first."""
     n = check_int(n, "degree")
-    params.require_integral("monomial_coefficients")
-    prev: tuple[Fraction, ...] = ()
-    cur: tuple[Fraction, ...] = (Fraction(1),)
-    for k in range(n):
-        c = step_coefficients(k, params, "exact")
-        nxt = [Fraction(0)] * (k + 2)
-        for j, coef in enumerate(cur):
-            nxt[j + 1] += coef
-            nxt[j] -= c.stay * coef
-        for j, coef in enumerate(prev):
-            nxt[j] -= c.down * coef
-        inv = 1 / c.up
-        prev, cur = cur, tuple(coef * inv for coef in nxt)
-    return cur
+    nums, den = _coefficient_numerators(n, *params.require_integral("monomial_coefficients"))
+    return tuple(Fraction(c, den) for c in nums)
+
+
+def _common_denominator(coeffs) -> tuple[list[int], int]:
+    """Integers and one denominator D with coeffs[k] == nums[k] / D."""
+    coeffs = [Fraction(c) for c in coeffs]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def poly_product(a, b) -> tuple[Fraction, ...]:
-    """Coefficient convolution of two polynomials (lowest degree first)."""
-    a = tuple(a)
-    b = tuple(b)
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    """Coefficient convolution of two polynomials (lowest degree first).
+
+    The convolution runs on integer numerators over one common denominator
+    per factor; each output coefficient is one Fraction.
+    """
+    a, den_a = _common_denominator(a)
+    b, den_b = _common_denominator(b)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
-    return tuple(out)
+    den = den_a * den_b
+    return tuple(Fraction(c, den) for c in out)
 
 
 def total_mass(params: ModelParams, engine: str = "float"):

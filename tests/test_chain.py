@@ -184,6 +184,15 @@ class TestSpectralTransition:
         exact = matrix_power_transition(t, i, j, params)
         assert abs(spectral_transition(t, i, j, params, "float") - float(exact)) <= 1e-10
 
+    @pytest.mark.parametrize("ab", list(product(range(7), repeat=2)))
+    def test_exact_row_matches_matrix_row(self, ab):
+        # every t <= 40 from every i <= 8, two unreachable columns past i + t
+        params = ModelParams(*ab)
+        for t, i in product(range(41), range(9)):
+            row = spectral_transition_row(t, i, params, i + t + 2, "exact")
+            assert row == matrix_power_row(t, i, i + t + 2, params, "exact")
+            assert all(isinstance(value, Fraction) for value in row)
+
     def test_one_step_row(self):
         # hand: (stay_0, up_0, 0) = (1/2, 1/2, 0)
         params = ModelParams(0, 0)

@@ -3,11 +3,12 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from jacobi_walk import ModelParams, stationarity_residuals
@@ -20,6 +21,29 @@ def run_cli(*argv):
     with redirect_stdout(buffer):
         code = main(list(argv))
     return code, buffer.getvalue()
+
+
+def run_module(*argv):
+    """Run ``python -m jacobi_walk`` in a subprocess that imports the
+    package from this checkout's src, whatever PYTHONPATH pytest had."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "jacobi_walk", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
+# float tables that overflow, and the first non-finite cell each reports
+OVERFLOWS = [
+    (("eval", "--n-max", "3000", "--alpha", "300", "--x", "0"), "value is inf at n=1044"),
+    (
+        ("stationary", "--n-max", "3000", "--alpha", "300", "--beta", "300"),
+        "residual is inf at i=444",
+    ),
+]
 
 
 def parse_csv(text):
@@ -243,25 +267,22 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize(
-        "argv, cell",
-        [
-            (("eval", "--n-max", "3000", "--alpha", "300", "--x", "0"), "value is inf at n=1044"),
-            (
-                ("stationary", "--n-max", "3000", "--alpha", "300", "--beta", "300"),
-                "residual is inf at i=444",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("argv, cell", OVERFLOWS)
     def test_non_finite_float_is_numerical_failure(self, tmp_path, capsys, argv, cell, fmt):
         # float overflow must not print inf/nan (nor invalid JSON Infinity)
         target = tmp_path / "table.out"
         for output in ("-", str(target)):
-            with np.errstate(all="ignore"):
-                code, text = run_cli(*argv, "--format", fmt, "--output", output)
+            code, text = run_cli(*argv, "--format", fmt, "--output", output)
             assert code == 3 and text == ""
             assert f"jacobi-walk: numerical failure: {cell}" in capsys.readouterr().err
         assert not target.exists()
+
+    @pytest.mark.parametrize("argv, cell", OVERFLOWS)
+    def test_overflow_stderr_is_one_line(self, argv, cell):
+        # no numpy RuntimeWarning ahead of the package's own message
+        result = run_module(*argv)
+        assert result.returncode == 3 and result.stdout == ""
+        assert result.stderr == f"jacobi-walk: numerical failure: {cell}\n"
 
     def test_success_is_zero(self):
         code, _ = run_cli("coeffs", "--n-max", "2")
@@ -295,11 +316,7 @@ class TestOutputsAndDeterminism:
         assert rows == [["0", "100", "1.0", "0.0"]]
 
     def test_console_entry_point(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "jacobi_walk", "coeffs", "--n-max", "0", "--engine", "exact"],
-            capture_output=True,
-            text=True,
-        )
+        result = run_module("coeffs", "--n-max", "0", "--engine", "exact")
         assert result.returncode == 0
         assert result.stdout == "n,up,stay,down,sum\n0,1/2,1/2,0,1\n"
 

@@ -60,6 +60,16 @@ class TestIntegratePolyExact:
     def test_constant(self):
         assert integrate_poly_exact([1], ModelParams(1, 0)) == F(1, 2)
 
+    @pytest.mark.parametrize("ab", [(0, 0), (1, 2), (6, 0), (0, 6), (6, 6)])
+    def test_monomials_integrate_to_moments(self, ab):
+        # the normalized moments against moment()'s factorial form
+        params = ModelParams(*ab)
+        for k in range(61):
+            assert integrate_poly_exact([0] * k + [1], params) == moment(k, params)
+
+    def test_empty_polynomial_is_zero(self):
+        assert integrate_poly_exact([], ModelParams(2, 3)) == 0
+
     def test_norm_identity_matches_gamma_form(self):
         params = ModelParams(2, 3)
         for i in range(6):
@@ -241,6 +251,12 @@ class TestOrthonormalityTable:
             for j in range(7):
                 assert table[i][j] == (1 if i == j else 0)
                 assert isinstance(table[i][j], Fraction)
+
+    @pytest.mark.parametrize("ab", [(a, b) for a in range(7) for b in range(7)])
+    def test_exact_gram_is_identity_to_degree_30(self, ab):
+        table = orthonormality_table(30, ModelParams(*ab), "exact")
+        assert table == [[int(i == j) for j in range(31)] for i in range(31)]
+        assert all(isinstance(value, Fraction) for row in table for value in row)
 
     def test_float_engine_near_identity(self):
         table = orthonormality_table(12, ModelParams(3, 4), "float")

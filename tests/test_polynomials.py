@@ -184,7 +184,43 @@ class TestEvalPoly:
                 assert table[n, k] == pytest.approx(float(exact), rel=1e-14)
 
 
+def recurrence_coefficients(n_max, params):
+    """Monomial coefficients of Q_0..Q_{n_max} from the three-term
+    recurrence: the oracle for the closed-form expansion."""
+    prev: tuple = ()
+    cur: tuple = (Fraction(1),)
+    yield cur
+    for k in range(n_max):
+        c = step_coefficients(k, params, "exact")
+        nxt = [Fraction(0)] * (k + 2)
+        for j, coef in enumerate(cur):
+            nxt[j + 1] += coef
+            nxt[j] -= c.stay * coef
+        for j, coef in enumerate(prev):
+            nxt[j] -= c.down * coef
+        prev, cur = cur, tuple(coef / c.up for coef in nxt)
+        yield cur
+
+
+def fraction_convolution(a, b):
+    """Coefficient convolution one Fraction product at a time."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += Fraction(ai) * Fraction(bj)
+    return tuple(out)
+
+
 class TestMonomialCoefficients:
+    @pytest.mark.parametrize("ab", [(a, b) for a in range(7) for b in range(7)])
+    def test_closed_form_matches_recurrence(self, ab):
+        # criterion 4's grid: alpha, beta in 0..6, degrees up to 50
+        params = ModelParams(*ab)
+        for n, expected in enumerate(recurrence_coefficients(50, params)):
+            got = monomial_coefficients(n, params)
+            assert got == expected
+            assert all(isinstance(c, Fraction) for c in got)
+
     def test_low_degrees(self):
         params = ModelParams(0, 0)
         assert monomial_coefficients(0, params) == (1,)
@@ -199,6 +235,15 @@ class TestMonomialCoefficients:
         a = (F(1), F(2))  # 1 + 2x
         b = (F(-1), F(0), F(3))  # -1 + 3x^2
         assert poly_product(a, b) == (F(-1), F(-2), F(3), F(6))
+
+    @given(
+        st.lists(st.fractions(max_denominator=50), min_size=1, max_size=8),
+        st.lists(st.integers(-9, 9) | st.fractions(max_denominator=9), min_size=1, max_size=8),
+    )
+    def test_product_matches_fraction_convolution(self, a, b):
+        got = poly_product(a, b)
+        assert got == fraction_convolution(a, b)
+        assert all(isinstance(c, Fraction) for c in got)
 
 
 class TestNormSquared:
