@@ -8,9 +8,10 @@ decimal form.  CSV has a header row, UTF-8, LF line endings.  JSON is an
 array of row objects keyed by the column names.
 
 Exit codes: 0 success, 2 argument error (message names the offending
-flag; an unwritable --output counts as one), 3 numerical failure (e.g. the
-quadrature eigensolver refusing to converge, or a float cell that came out
-inf or nan, which is never printed).
+flag; an unwritable --output counts as one), 3 numerical failure (e.g. a
+Gauss rule whose weight's total mass underflows to 0.0 or whose nodes fail
+the root-count check, or a float cell that came out inf or nan, which is
+never printed).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .chain import matrix_power_row, spectral_transition_row, stationarity_residuals
 from .integrate import gauss_jacobi_rule, orthonormality_table
@@ -155,6 +157,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call and kept.
+
+    Parsing does not change the parser, so one serves every later call
+    (building it takes about twenty times as long as a parse).
+    """
+    return build_parser()
+
+
 def _require_float_engine(args, context: str) -> None:
     if args.engine == "exact":
         raise UsageError(f"--engine exact is not available for {context}; drop the flag")
@@ -273,9 +285,8 @@ def render(columns: list[str], rows: list[list], fmt: str) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

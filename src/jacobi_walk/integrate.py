@@ -4,8 +4,9 @@ Two independent routes:
 
 * exact rational integration of polynomials via the closed-form monomial
   moments (the oracle), and
-* M-point Gauss quadrature for the weight, built by the Golub-Welsch
-  procedure from the recurrence coefficients (the production float path).
+* M-point Gauss quadrature for the weight, whose nodes are the zeros of
+  the M-th polynomial of the recurrence, found by Newton's method on the
+  recurrence itself (the production float path).
 
 An M-point rule integrates polynomials of degree <= 2M - 1 exactly, which
 the tests exploit by checking quadrature against the rational route.
@@ -21,19 +22,25 @@ Hankel matrix of the mu_k, and the exact spectral transition rows of
 
 The rule is built in three steps, each written out here rather than taken
 from a linear-algebra package, which keeps the quadrature path
-dependency-light and its failure mode explicit:
+dependency-light and its failure mode explicit.  Each step sweeps the
+three-term recurrence over all nodes at once and holds O(M) numbers:
 
-1. the nodes start as the eigenvalues of the Jacobi matrix, found by an
-   implicit-shift QL iteration that accumulates no eigenvectors and raises
-   NumericalError if any eigenvalue fails to converge;
-2. two Newton corrections in extended precision move each node toward the
-   zero of p_M on the double-precision recurrence the evaluations use.
-   Each correction is one sweep of the plain three-term recurrence: the
-   confluent Christoffel-Darboux identity turns the sum of squares
-   sum_k p_k**2 into the derivative Newton needs, so no derivative
-   recurrence is run;
-3. the weights are 1 / sum_k p_k**2 at the corrected nodes (the
-   Christoffel-Darboux kernel), read off a final sweep.
+1. the nodes start from asymptotic formulas (Hale & Townsend, SIAM J. Sci.
+   Comput. 35 (2013)): Gatteschi and Pittaluga's in the interior, scaled
+   Bessel zeros from McMahon's expansion at the ends;
+2. Newton steps move each node to the zero of p_M on the double-precision
+   recurrence the evaluations use.  One step is one sweep of the plain
+   recurrence at the complex point x + ih, whose real and imaginary parts
+   carry p_M and h p_M' together.  The sweeps run in double until every
+   step is small against the node spacing, then once in extended
+   precision;
+3. one Sturm count (Barth, Martin & Wilkinson, Numer. Math. 9 (1967)) at
+   the midpoints between nodes checks that node k is the k-th zero.  A
+   node that fails is bisected afresh with the same count and polished
+   again; if it still fails, NumericalError is raised.  The weights are
+   1 / sum_k p_k**2 at the nodes (the Christoffel-Darboux kernel), read off
+   a final sweep; they are the only step that needs the weight's total
+   mass.
 
 The extended precision matters because downstream identities divide by
 polynomially small norms and feel every spare ulp.
@@ -69,11 +76,19 @@ __all__ = [
     "orthonormality_table",
 ]
 
-# Deflation is relative to neighbouring diagonal magnitude; 50 implicit QL
-# sweeps per eigenvalue is far beyond what well-conditioned Jacobi matrices
-# need (typically 2-3).
-_QL_TOL = 1e-14
-_QL_MAX_SWEEPS = 50
+# Gauss rules: at most this many Newton sweeps in double, handing over to
+# the one long-double sweep once every step is within _HANDOVER of its
+# node's nearest gap; the complex step h (Im p(x + ih) = h p'(x)); the
+# Bessel-started nodes at each end; a converged node's last step against its
+# nearest gap; the sections per Sturm sweep of the fallback and the
+# relative width at which it hands over to Newton.
+_DOUBLE_SWEEPS = 6
+_HANDOVER = 2.0**-20
+_STEP = 2.0**-80
+_END_NODES = 10
+_CONVERGED = 2.0**-26
+_SECTIONS = 16
+_BISECT_WIDTH = 2.0**-20
 
 
 # A long-lived process keeps at most 8192 moments.  Moment k is
@@ -159,62 +174,6 @@ def _exact_spectral_cells(t: int, rows, cols, params: ModelParams) -> list[list[
     return table
 
 
-def _tridiag_eigenvalues(diag, off):
-    """Eigenvalues of a symmetric tridiagonal matrix, ascending.
-
-    Implicit-shift QL iteration on the diagonal ``diag`` and the
-    off-diagonal ``off`` (one shorter); no eigenvector data is accumulated.
-    """
-    d = [float(v) for v in diag]
-    e = [float(v) for v in off] + [0.0]
-    n = len(d)
-    if len(off) != n - 1:
-        raise ValueError("off-diagonal must be one shorter than the diagonal")
-    for l in range(n):
-        sweeps = 0
-        while True:
-            for m in range(l, n - 1):
-                if abs(e[m]) <= _QL_TOL * (abs(d[m]) + abs(d[m + 1])):
-                    break
-            else:
-                m = n - 1
-            if m == l:
-                break
-            if sweeps == _QL_MAX_SWEEPS:
-                raise NumericalError(
-                    f"tridiagonal eigensolver failed to converge at index {l} "
-                    f"after {_QL_MAX_SWEEPS} sweeps"
-                )
-            sweeps += 1
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                h = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    # rare underflow escape: drop the shift and restart
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * h
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - h
-            else:
-                d[l] -= p
-                e[l] = g
-                e[m] = 0.0
-    return np.array(sorted(d))
-
-
 def _symmetrized_recurrence(order, params: ModelParams):
     """Double-precision data of the symmetrized three-term recurrence.
 
@@ -231,34 +190,185 @@ def _symmetrized_recurrence(order, params: ModelParams):
     return diag, off, total_mass(params, "float")
 
 
+def _recurrence_steps(diag, off, dtype):
+    """The (stay_k, back_k, fwd_k) of ``_three_term_sweep`` for p_0..p_M in dtype.
+
+    x p_k = off[k] p_{k+1} + diag[k] p_k + off[k-1] p_{k-1} with M = len(diag).
+    """
+    fwd = off.astype(dtype)
+    return list(zip(diag.astype(dtype), np.concatenate(([0], fwd[:-1])), fwd))
+
+
 def _orthonormal_sweep(xs, diag, off, mass):
     """Long-double p_0..p_M at xs for the data of ``_symmetrized_recurrence``.
 
-    p_k is the orthonormal polynomial Q_k / norm(Q_k): p_0 = 1/sqrt(mass)
-    and x p_k = off[k] p_{k+1} + diag[k] p_k + off[k-1] p_{k-1}, with
+    p_k is the orthonormal polynomial Q_k / norm(Q_k): p_0 = 1/sqrt(mass),
     M = len(diag).
     """
-    dl = diag.astype(np.longdouble)
-    ol = off.astype(np.longdouble)
     q0 = np.full_like(xs, 1.0 / np.sqrt(np.longdouble(mass)))
-    return _three_term_sweep(xs, q0, zip(dl, np.concatenate(([0], ol)), ol))
+    return _three_term_sweep(xs, q0, _recurrence_steps(diag, off, np.longdouble))
 
 
-def _christoffel_sweep(xs, diag, off, mass):
-    """(sum_{k<M} p_k(xs)**2, p_{M-1}(xs), p_M(xs)) with M = len(diag) >= 1.
+def _bessel_zeros(nu: float, count: int) -> np.ndarray:
+    """McMahon's expansion (A&S 9.5.12) of the zeros j_{nu,1..count} of J_nu.
 
-    Streams ``_orthonormal_sweep``: only the running sum and the last two
+    In b = (s + nu/2 - 1/4) pi and mu = 4 nu**2, through the b**-7 term.
+    Accurate once b is large against nu; for nu much larger than the zero's
+    index it is rough, and the rule's root-count check catches what follows.
+    """
+    b = (np.arange(1, count + 1) + nu / 2 - 0.25) * math.pi
+    mu = 4.0 * nu * nu
+    terms = (
+        1,
+        4 * (7 * mu - 31) / 3,
+        32 * (83 * mu**2 - 982 * mu + 3779) / 15,
+        64 * (6949 * mu**3 - 153855 * mu**2 + 1585743 * mu - 6277237) / 105,
+    )
+    e = 1.0 / (8.0 * b) ** 2
+    return b - (mu - 1) / (8.0 * b) * sum(c * e**k for k, c in enumerate(terms))
+
+
+def _start_nodes(order: int, a: float, b: float) -> np.ndarray:
+    """Asymptotic guesses for the zeros of Q_order, ascending (Hale & Townsend).
+
+    x = sin(theta/2)**2 maps the classical Jacobi zeros cos(theta) of
+    P^(a,b) on [-1, 1] onto [0, 1].  The interior uses Gatteschi and
+    Pittaluga's formula in rho = order + (a+b+1)/2; the _END_NODES nodes at
+    each end use Bessel zeros scaled by Gatteschi's
+    1/sqrt(rho**2 + (1 - a**2 - 3 b**2)/12), with a and b swapped at x = 1.
+    """
+    rho = order + (a + b + 1) / 2
+    phi = (np.arange(1, order + 1) + a / 2 - 0.25) * math.pi / rho
+    with np.errstate(all="ignore"):
+        theta = phi + ((0.25 - a * a) / np.tan(phi / 2) - (0.25 - b * b) * np.tan(phi / 2)) / (
+            4 * rho * rho
+        )
+        ends = min(_END_NODES, order // 2)
+        theta[:ends] = _bessel_zeros(a, ends) / np.sqrt(rho * rho + (1 - a * a - 3 * b * b) / 12)
+        theta[order - ends :] = math.pi - _bessel_zeros(b, ends)[::-1] / np.sqrt(
+            rho * rho + (1 - b * b - 3 * a * a) / 12
+        )
+    return np.sin(theta / 2) ** 2
+
+
+def _newton_step(xs, steps):
+    """The Newton correction p_M(xs) / p_M'(xs) from one three-term sweep.
+
+    The sweep runs at the complex points xs + i h: its real part carries
+    p_M and its imaginary part h p_M', both to O(h**2) relative, so value
+    and derivative share one pass of the plain recurrence.  It starts from
+    p_0 = 1, because the ratio does not depend on the scale.
+    """
+    z = xs + _STEP * 1j
+    sweep = _three_term_sweep(z, np.ones_like(z), steps)
+    # a wild start may overflow; the root-count check rejects what it yields
+    with np.errstate(all="ignore"):
+        for q in sweep:
+            pass
+        return _STEP * q.real / q.imag
+
+
+def _nearest_gap(nodes):
+    """Distance from each node to its nearer neighbour, 0 and 1 included."""
+    gaps = np.diff(np.concatenate(([0.0], nodes, [1.0])))
+    return np.minimum(gaps[:-1], gaps[1:])
+
+
+def _polish(xs, diag, off):
+    """Newton from xs toward the zeros of p_M: (long-double nodes, last step).
+
+    Sweeps in double arithmetic run until every step is within _HANDOVER
+    of its node's nearest gap (at most _DOUBLE_SWEEPS of them); one
+    long-double sweep then removes what double evaluation leaves, up to
+    1e-12 relative at order 1500.
+    """
+    steps = _recurrence_steps(diag, off, float)
+    for _ in range(_DOUBLE_SWEEPS):
+        step = _newton_step(xs, steps)
+        xs = xs - step
+        if np.all(np.abs(step) <= _HANDOVER * _nearest_gap(xs)):
+            break
+    xs = xs.astype(np.longdouble)
+    step = _newton_step(xs, _recurrence_steps(diag, off, np.longdouble))
+    return xs - step, step
+
+
+def _zeros_above(xs, diag, off):
+    """Sturm count: the number of zeros of p_M above each point of xs.
+
+    The pivots q_k = (x - diag[k]) - off[k-1]**2 / q_{k-1} of x - J, J the
+    Jacobi matrix, are negative exactly as often as J has eigenvalues above
+    x (Barth, Martin & Wilkinson).  They are ratios of consecutive p_k, so
+    they cannot overflow; a zero pivot turns the next one into -inf and the
+    one after back to finite, which counts the sign change correctly.
+    """
+    above = np.zeros(xs.shape, dtype=np.intp)
+    pivot = np.ones_like(xs)
+    back = np.concatenate(([0.0], off[: len(diag) - 1] ** 2))
+    with np.errstate(all="ignore"):
+        for stay, back_sq in zip(diag.tolist(), back.tolist()):
+            pivot = (xs - stay) - back_sq / pivot
+            above += pivot < 0.0
+    return above
+
+
+def _unverified(nodes, step, diag, off):
+    """Mask of the nodes not shown to be converged, distinct zeros of p_M.
+
+    Node k passes when it lies in (0, 1) strictly between its neighbours,
+    the Sturm count puts exactly k zeros below the midpoint to its left
+    and k + 1 below the one to its right, and its last Newton step was
+    within _CONVERGED of its distance to the nearest neighbour (or end).
+    """
+    order = nodes.size
+    below = order - _zeros_above((nodes[:-1] + nodes[1:]) / 2, diag, off)
+    counted = below == np.arange(1, order)
+    near = _nearest_gap(nodes)
+    verified = np.concatenate(([True], counted)) & np.concatenate((counted, [True]))
+    return ~(verified & (near > 0.0) & (np.abs(step) <= _CONVERGED * near))
+
+
+def _bisect(lanes, diag, off):
+    """Sturm multisection for zero number k of p_M, for each k in ``lanes``.
+
+    Each bracket starts as [0, 1]; one count at _SECTIONS - 1 inner points
+    keeps the section that holds the zero, until the bracket's width is
+    within _BISECT_WIDTH of its distance to the nearer end of [0, 1] (or a
+    few ulps), so zeros near 1e-8 come out as sharp as the middle ones.
+    """
+    order = len(diag)
+    lo, hi = np.zeros(lanes.size), np.ones(lanes.size)
+    todo = np.arange(lanes.size)
+    cuts = np.arange(_SECTIONS + 1) / _SECTIONS
+    while todo.size:
+        edges = lo[todo, None] + (hi[todo] - lo[todo])[:, None] * cuts
+        inner = edges[:, 1:-1]
+        above = _zeros_above(inner.ravel(), diag, off).reshape(inner.shape)
+        # the zero lies above every inner point with at most k zeros below it
+        section = np.count_nonzero(order - above <= lanes[todo, None], axis=1)
+        rows = np.arange(todo.size)
+        lo[todo], hi[todo] = edges[rows, section], edges[rows, section + 1]
+        width = hi[todo] - lo[todo]
+        scale = np.minimum(hi[todo], 1.0 - lo[todo])
+        todo = todo[width > np.maximum(_BISECT_WIDTH * scale, 4 * np.spacing(hi[todo]))]
+    return (lo + hi) / 2
+
+
+def _christoffel_sum(xs, diag, off):
+    """sum_{k<M} p_k(xs)**2 for p_0 = 1, M = len(diag), in long double.
+
+    These p_k are the orthonormal polynomials times sqrt(mass).  Streams
+    ``_orthonormal_sweep``: only the running sum and the last two
     polynomials are held, never the M-row table.
     """
-    sweep = _orthonormal_sweep(xs, diag, off, mass)
+    sweep = _orthonormal_sweep(xs, diag, off, 1.0)
     # non-finite values fail the rule's validity checks; see poly_table for
     # why the errstate wraps the consuming loop
     with np.errstate(all="ignore"):
-        kernel, p = 0, next(sweep)
-        for p_next in sweep:
+        kernel = 0
+        for _, p in zip(range(len(diag)), sweep):
             kernel = kernel + p * p
-            p_prev, p = p, p_next
-    return kernel, p_prev, p
+    return kernel
 
 
 @dataclass(frozen=True)
@@ -291,45 +401,48 @@ class QuadratureRule:
 # bytes of nodes and weights, so 128 rules of order 1500 are about 3 MB.
 @lru_cache(maxsize=128)
 def gauss_jacobi_rule(order, params: ModelParams) -> QuadratureRule:
-    """Build (and cache) the M-point Gauss rule via Golub-Welsch.
+    """Build (and cache) the M-point Gauss rule for the weight.
 
-    The Jacobi matrix is the symmetric tridiagonal with stay_0..stay_{M-1}
-    on the diagonal and sqrt(up_n * down_{n+1}) off it; its eigenvalues are
-    the nodes.  Two Christoffel-Darboux Newton corrections polish them, and
-    the weights are the reciprocal Christoffel-Darboux kernel at the
-    polished nodes (equal to the weight's total mass times the squared
-    first eigenvector components).  Raises NumericalError if the
-    eigensolver stalls or the resulting rule violates its validity
-    invariants (node ordering and containment, weight positivity).
+    The nodes are the zeros of p_M, the M-th orthonormal polynomial of the
+    symmetrized recurrence (the eigenvalues of its Jacobi matrix); the
+    weights are the reciprocal Christoffel-Darboux kernel
+    1 / sum_{k<M} p_k**2 at the nodes (equal to the weight's total mass
+    times the squared first eigenvector components).  Raises
+    NumericalError if a node fails the root-count check even after
+    bisection, if the weight's total mass underflows, or if the rule
+    violates its validity invariants (node ordering and containment,
+    weight positivity).
     """
     order = check_int(order, "quadrature order", 1)
     diag, off, mass = _symmetrized_recurrence(order, params)
-    raw_nodes = _tridiag_eigenvalues(diag, off[: order - 1])
-    # The QL eigenvalues carry a few ulps of backward error, too coarse for
-    # the invariant-measure-weighted identities downstream, so two Newton
-    # corrections in extended precision move each node toward the zero of
-    # p_M on the same double-precision recurrence the evaluations use.  At a
-    # zero of p_M the confluent Christoffel-Darboux identity
-    # sum_{k<M} p_k**2 = off[M-1] * (p_M' p_{M-1} - p_{M-1}' p_M) gives
-    # p_M' = sum_{k<M} p_k**2 / (off[M-1] p_{M-1}), so the Newton step
-    # p_M / p_M' costs one plain sweep (its error is O(p_M**2)).  Measured
-    # against the sign change of p_M evaluated exactly on the same data,
-    # nodes of index >= 4 land within 1 ulp at orders 97 and 241, but the
-    # smallest node of a weight that is singular at 0 does not: node 0 of
-    # (alpha, beta) = (-0.99, 3.5) ends 41 ulps away at order 241 and 86 at
-    # order 600.  Three to five corrections, from this start or from
-    # LAPACK's, leave that node 67 to 169 ulps away, so the long-double
-    # evaluation near x = 0 sets the limit, not the number of corrections.
-    # The kernel identity mass * v[0]**2 == 1 / sum_{k<M} p_k**2 then
-    # rebuilds the weights at the polished nodes.
-    xs = raw_nodes.astype(np.longdouble)
-    last_off = np.longdouble(off[order - 1])
-    for _ in range(2):
-        kernel, p_prev, p = _christoffel_sweep(xs, diag, off, mass)
-        xs = xs - last_off * p * p_prev / kernel
-    kernel, _, _ = _christoffel_sweep(xs, diag, off, mass)
+    # For alpha, beta in 0..6 and orders up to 600 the asymptotic starts lie
+    # within 18% of the local node spacing, and one to four double sweeps
+    # reach the handover.  Measured against the sign change of p_M
+    # evaluated exactly on the same double data, nodes of index >= 4 then
+    # land within 1 ulp, and the four at each end within 12 ulps for (0, 0),
+    # (3, 5), (6, 0), (0, 6), (6, 6) and (-0.5, 2.75) at orders 97, 241 and
+    # 600.  The smallest node of a weight singular at 0 can sit further off:
+    # 385 ulps for (-0.99, 3.5) at order 600.  Long-double x - stay_k keeps
+    # only part of such a node's bits, so further sweeps cannot help.
+    # Exponents near -1 or in the tens and hundreds defeat the asymptotics
+    # at the ends, and the root-count check sends those nodes to bisection.
+    xs, step = _polish(_start_nodes(order, params.alpha, params.beta), diag, off)
+    unverified = _unverified(xs.astype(float), step, diag, off)
+    if unverified.any():
+        lanes = np.flatnonzero(unverified)
+        xs[lanes], step[lanes] = _polish(_bisect(lanes, diag, off), diag, off)
+        unverified = _unverified(xs.astype(float), step, diag, off)
+        if unverified.any():
+            raise NumericalError(
+                f"Gauss rule of order {order}: {np.count_nonzero(unverified)} nodes "
+                "fail the root-count check"
+            )
     nodes = xs.astype(float)
-    weights = (1.0 / kernel).astype(float)
+    if not mass > 0.0:
+        raise NumericalError(
+            f"Gauss rule of order {order}: the weight's total mass underflows to {mass!r}"
+        )
+    weights = (np.longdouble(mass) / _christoffel_sum(xs, diag, off)).astype(float)
     if not (np.all(nodes > 0.0) and np.all(nodes < 1.0) and np.all(np.diff(nodes) > 0.0)):
         raise NumericalError(f"Gauss rule of order {order}: nodes violate (0, 1) ordering")
     if not np.all(weights > 0.0):

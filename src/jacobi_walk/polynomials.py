@@ -104,8 +104,9 @@ def _three_term_sweep(x, q0, steps):
 
     one further value per (stay_k, back_k, fwd_k) that ``steps`` yields.
     x and q0 may be Fractions, floats, or ndarrays of float64 or long
-    double; the arithmetic stays in their type.  Only the last two values
-    are held, so a caller that keeps running sums needs no table.
+    double, real or complex; the arithmetic stays in their type.  Only the
+    last two values are held, so a caller that keeps running sums needs no
+    table.
     """
     q_prev, q = q0 * 0, q0
     yield q

@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from jacobi_walk import ModelParams, stationarity_residuals
-from jacobi_walk.cli import main
+import jacobi_walk.cli as cli_module
+from jacobi_walk.cli import build_parser, main
 
 
 def run_cli(*argv):
@@ -283,6 +284,49 @@ class TestExitCodes:
         result = run_module(*argv)
         assert result.returncode == 3 and result.stdout == ""
         assert result.stderr == f"jacobi-walk: numerical failure: {cell}\n"
+
+    @pytest.mark.parametrize(
+        "argv, order",
+        [
+            (("quadrule", "--points", "200"), 200),
+            (("orthocheck", "--i-max", "20"), 41),
+            (("transition", "--t", "10", "--i", "2", "--j-max", "12"), 13),
+        ],
+    )
+    def test_underflowed_mass_is_one_line(self, argv, order):
+        # B(1001, 1001) is below the smallest double; the nodes need no mass,
+        # the weights do
+        result = run_module(*argv, "--alpha", "1000", "--beta", "1000")
+        assert result.returncode == 3 and result.stdout == ""
+        assert result.stderr == (
+            f"jacobi-walk: numerical failure: Gauss rule of order {order}: "
+            "the weight's total mass underflows to 0.0\n"
+        )
+
+    def test_parser_built_once(self, monkeypatch, capsys):
+        # a failing parse and then a good one behave as with a fresh parser
+        # each, and share one parser
+        with pytest.raises(SystemExit) as fresh:
+            build_parser().parse_args(["quadrule", "--points", "0"])
+        fresh_err = capsys.readouterr().err
+        builds = []
+
+        def counting_build():
+            builds.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli_module, "build_parser", counting_build)
+        cli_module._parser.cache_clear()
+        try:
+            code, text = run_cli("quadrule", "--points", "0")
+            assert (code, text) == (fresh.value.code, "") == (2, "")
+            err = capsys.readouterr().err
+            assert err == fresh_err and "--points" in err
+            code, text = run_cli("quadrule", "--points", "1")
+            assert code == 0 and text == "index,node,weight\n0,0.5,1.0\n"
+            assert len(builds) == 1
+        finally:
+            cli_module._parser.cache_clear()
 
     def test_success_is_zero(self):
         code, _ = run_cli("coeffs", "--n-max", "2")

@@ -28,7 +28,8 @@ from jacobi_walk import (
     step_coefficients,
     total_mass,
 )
-from jacobi_walk.integrate import _symmetrized_recurrence, _tridiag_eigenvalues
+import jacobi_walk.integrate as integrate_module
+from jacobi_walk.integrate import _symmetrized_recurrence
 
 F = Fraction
 
@@ -160,7 +161,8 @@ class TestGaussRule:
 
 
 class TestChristoffelDarboux:
-    """The confluent Christoffel-Darboux identity behind the Newton polish:
+    """The confluent Christoffel-Darboux identity, which ties the weights'
+    kernel sum_k p_k**2 to p_M' at the nodes:
 
         sum_{k<M} Q_k(x)**2 / norm_squared(k)
             = up_{M-1} / norm_squared(M-1) * (Q_M' Q_{M-1} - Q_{M-1}' Q_M)(x)
@@ -220,14 +222,14 @@ def _brackets_zero(x, ulps, diag, off):
 
 
 class TestPolishAgainstExactRecurrence:
-    """The polished nodes against the zeros of p_M on the same double data.
+    """The Newton-polished nodes against the zeros of p_M on the same double data.
 
-    p_M is evaluated exactly, so these tests measure how close the two
-    long-double Newton corrections get to the recurrence they target.
+    p_M is evaluated exactly, so these tests measure how close the
+    long-double Newton sweep gets to the recurrence it targets.
     """
 
-    @pytest.mark.parametrize("order", [97, 241])
-    @pytest.mark.parametrize("ab", [(0, 0), (3, 5), (-0.5, 2.75)])
+    @pytest.mark.parametrize("order", [97, 241, 600])
+    @pytest.mark.parametrize("ab", [(0, 0), (3, 5), (-0.5, 2.75), (6, 0), (0, 6), (6, 6)])
     def test_nodes_within_one_ulp(self, order, ab):
         params = ModelParams(*ab)
         diag, off, _ = _symmetrized_recurrence(order, params)
@@ -235,13 +237,113 @@ class TestPolishAgainstExactRecurrence:
         for k in (4, 5, order // 4, order // 2, 3 * order // 4, order - 1):
             assert _brackets_zero(rule.nodes[k], 1, diag, off), k
 
+    @pytest.mark.parametrize("order", [97, 241, 600])
+    @pytest.mark.parametrize("ab", [(0, 0), (3, 5), (-0.5, 2.75), (6, 0), (0, 6), (6, 6)])
+    def test_end_nodes_within_64_ulps(self, order, ab):
+        # near x = 0 long-double x - stay_k keeps only part of the node's
+        # bits, so node 0 lands anywhere in a band of sign noise (measured:
+        # at most 12 ulps, node 0 of (0, 0) at order 600; node 0 of
+        # (-0.5, 2.75) there read 53 ulps under a schedule with one more
+        # double sweep)
+        params = ModelParams(*ab)
+        diag, off, _ = _symmetrized_recurrence(order, params)
+        rule = gauss_jacobi_rule(order, params)
+        for k in (0, 1, 2, 3, order - 4, order - 3, order - 2, order - 1):
+            assert _brackets_zero(rule.nodes[k], 64, diag, off), k
+
     def test_smallest_node_of_singular_weight(self):
         # near x = 0 the long-double sweep limits the polish, not the number
-        # of corrections (measured: 41 ulps)
+        # of sweeps (measured: 24 ulps)
         params = ModelParams(-0.99, 3.5)
         diag, off, _ = _symmetrized_recurrence(241, params)
         rule = gauss_jacobi_rule(241, params)
         assert _brackets_zero(rule.nodes[0], 64, diag, off)
+
+
+def _record_bisected(monkeypatch):
+    """Patch integrate._bisect to record the node indices it is given."""
+    lanes_seen = []
+    real_bisect = integrate_module._bisect
+
+    def spy(lanes, diag, off):
+        lanes_seen.extend(lanes.tolist())
+        return real_bisect(lanes, diag, off)
+
+    monkeypatch.setattr(integrate_module, "_bisect", spy)
+    return lanes_seen
+
+
+# large exponents, where the asymptotic start fails the root-count check
+FALLBACKS = [
+    (50, (300, 0)), (600, (40, 3)), (3, (100, 0)),
+    (50, (0, 300)), (600, (3, 40)), (3, (0, 100)),
+]
+
+
+class TestRootCountFallback:
+    """Nodes whose Newton result fails the Sturm root count are bisected."""
+
+    @pytest.mark.parametrize("order, ab", FALLBACKS)
+    def test_large_exponents_build_valid_rules(self, order, ab, monkeypatch):
+        bisected = _record_bisected(monkeypatch)
+        gauss_jacobi_rule.cache_clear()
+        params = ModelParams(*ab)
+        rule = gauss_jacobi_rule(order, params)
+        assert bisected
+        assert np.all(rule.nodes > 0) and np.all(rule.nodes < 1)
+        assert np.all(np.diff(rule.nodes) > 0)
+        assert np.all(rule.weights > 0)
+        assert rule.weights.sum() == pytest.approx(total_mass(params), rel=1e-13)
+        diag, off, _ = _symmetrized_recurrence(order, params)
+        for k in sorted({*range(min(4, order)), *range(max(order - 4, 0), order)}):
+            assert _brackets_zero(rule.nodes[k], 64, diag, off), k
+        for k in (4, 5, order // 4, order // 2, 3 * order // 4, order - 1):
+            if k < order:
+                assert _brackets_zero(rule.nodes[k], 1, diag, off), k
+
+    def test_colliding_start_is_caught_and_bisected(self, monkeypatch):
+        params, order = ModelParams(3, 5), 97
+        gauss_jacobi_rule.cache_clear()
+        expected = gauss_jacobi_rule(order, params)
+        real_start = integrate_module._start_nodes
+
+        def colliding(order, a, b):
+            xs = real_start(order, a, b)
+            xs[41] = xs[40]
+            return xs
+
+        monkeypatch.setattr(integrate_module, "_start_nodes", colliding)
+        bisected = _record_bisected(monkeypatch)
+        gauss_jacobi_rule.cache_clear()
+        rule = gauss_jacobi_rule(order, params)
+        gauss_jacobi_rule.cache_clear()
+        assert {40, 41} <= set(bisected)
+        np.testing.assert_array_equal(rule.nodes, expected.nodes)
+        np.testing.assert_array_equal(rule.weights, expected.weights)
+
+    def test_unresolved_nodes_raise(self, monkeypatch):
+        # a bisection that returns garbage leaves the check failing
+        monkeypatch.setattr(
+            integrate_module, "_start_nodes", lambda order, a, b: np.full(order, 0.5)
+        )
+        monkeypatch.setattr(
+            integrate_module, "_bisect", lambda lanes, diag, off: np.full(lanes.size, 0.5)
+        )
+        gauss_jacobi_rule.cache_clear()
+        with pytest.raises(NumericalError, match="root-count check"):
+            gauss_jacobi_rule(7, ModelParams(1, 1))
+        gauss_jacobi_rule.cache_clear()
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 7, 40])
+    def test_sturm_count_matches_eigenvalues(self, order):
+        # the count of zeros of p_M above x is the count of Jacobi-matrix
+        # eigenvalues above x (LAPACK on the dense matrix)
+        diag, off, _ = _symmetrized_recurrence(order, ModelParams(2, 1))
+        jacobi = np.diag(diag) + np.diag(off[: order - 1], 1) + np.diag(off[: order - 1], -1)
+        eigenvalues = np.linalg.eigvalsh(jacobi)
+        xs = np.linspace(-0.25, 1.25, 301)
+        expected = (eigenvalues[None, :] > xs[:, None]).sum(axis=1)
+        np.testing.assert_array_equal(integrate_module._zeros_above(xs, diag, off), expected)
 
 
 class TestOrthonormalityTable:
@@ -319,26 +421,3 @@ class TestQuadratureAgainstRationalOracle:
         )
         assert abs(got - float(exact)) <= 1e-12 * scale
 
-
-class TestEigensolver:
-    @pytest.mark.parametrize("n", [1, 2, 5, 20, 60])
-    def test_against_numpy(self, n):
-        rng = np.random.default_rng(12345 + n)
-        diag = rng.uniform(-2.0, 2.0, n)
-        off = rng.uniform(0.1, 1.5, n - 1) if n > 1 else np.array([])
-        values = _tridiag_eigenvalues(diag, off)
-        full = np.diag(diag)
-        for k in range(n - 1):
-            full[k, k + 1] = full[k + 1, k] = off[k]
-        assert values == pytest.approx(np.linalg.eigvalsh(full), abs=1e-12)
-
-    def test_iteration_cap_raises(self, monkeypatch):
-        import jacobi_walk.integrate as integrate_module
-
-        monkeypatch.setattr(integrate_module, "_QL_MAX_SWEEPS", 0)
-        with pytest.raises(NumericalError):
-            _tridiag_eigenvalues([0.5, 0.25], [0.3])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            _tridiag_eigenvalues([1.0, 2.0], [0.1, 0.2])
