@@ -12,13 +12,18 @@ one seed the keys are pairwise distinct: k -> mix(seed) ^ ((k+1) * GAMMA2)
 is injective modulo 2^64 (GAMMA2 is odd) and mix is a bijection.
 
 Bounded draws are unbiased: a raw 64-bit value is rejected when it falls in
-the short leftover range of size 2^64 mod m, then reduced.  Plain modulo
+the short leftover range [0, 2^64 mod m), then reduced.  Plain modulo
 reduction would bias small residues by about m / 2^64; negligible here, but
-avoidable, so avoided.
+avoidable, so avoided.  The leftover 2^64 mod m is below m, so a raw at or
+above its bound is never rejected: the vectorized path compares each raw
+with its bound, computes the leftover only on the rare lanes below it and
+redraws only those it rejects, then reduces in place.
 
 The scalar path (Python ints) and the vectorized path (uint64 arrays with
 wrapping arithmetic) implement the same function and are tested to match
-bit for bit.
+bit for bit.  The vectorized functions take uint64 arrays of one shape and
+raise ValueError otherwise: numpy would silently promote int64 lanes to
+float64 and return values of another stream.
 """
 
 from __future__ import annotations
@@ -46,12 +51,15 @@ def _mix64(z: int) -> int:
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """mix applied in place to z, a uint64 array the caller owns; returns z."""
     # uint64 arithmetic wraps, which is exactly the mod-2^64 we need
-    z = z ^ (z >> np.uint64(30))
-    z = z * np.uint64(_MIX1)
-    z = z ^ (z >> np.uint64(27))
-    z = z * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    scratch = np.empty_like(z)
+    z ^= np.right_shift(z, np.uint64(30), out=scratch)
+    z *= np.uint64(_MIX1)
+    z ^= np.right_shift(z, np.uint64(27), out=scratch)
+    z *= np.uint64(_MIX2)
+    z ^= np.right_shift(z, np.uint64(31), out=scratch)
+    return z
 
 
 def stream_key(seed, index) -> int:
@@ -100,10 +108,31 @@ class CounterStream:
                 return raw % bound
 
 
+def _raws(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """mix(key + counter * GAMMA) per lane, in a new array."""
+    raws = counters * np.uint64(_GAMMA)
+    raws += keys
+    return _mix64_array(raws)
+
+
+def _check_lanes(**arrays: np.ndarray) -> None:
+    for name, lanes in arrays.items():
+        if not isinstance(lanes, np.ndarray) or lanes.dtype != np.uint64:
+            kind = getattr(lanes, "dtype", type(lanes).__name__)
+            raise ValueError(f"{name} must be a uint64 array, got {kind}")
+    shapes = {name: lanes.shape for name, lanes in arrays.items()}
+    if len(set(shapes.values())) > 1:
+        raise ValueError(f"lane arrays must have one shape, got {shapes}")
+
+
 def raw_many(keys: np.ndarray, counters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Next raw value of each substream; returns (raws, advanced counters)."""
+    """Next raw value of each substream; returns (raws, advanced counters).
+
+    keys and counters are uint64 arrays of one shape; neither is modified.
+    """
+    _check_lanes(keys=keys, counters=counters)
     counters = counters + np.uint64(1)
-    return _mix64_array(keys + counters * np.uint64(_GAMMA)), counters
+    return _raws(keys, counters), counters
 
 
 def draw_below_many(
@@ -111,17 +140,24 @@ def draw_below_many(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized ``draw_below``: one bounded draw per substream.
 
-    bounds is a uint64 array (all >= 1) aligned with keys; returns
-    (values, advanced counters).  Lanes whose raw lands in the leftover
-    range redraw until accepted; acceptance per attempt is > 1 - 2^-32 for
-    the urn-sized bounds used here, so the loop almost never iterates.
+    keys, counters and bounds are uint64 arrays of one shape, every bound
+    at least 1; returns (values, advanced counters) and modifies none of
+    them.  Only lanes whose raw lies below its bound can be in the leftover
+    range; of those, the rejected ones redraw until accepted.  For the
+    urn's bounds, far below 2^32, a raw lies below its bound with
+    probability under 2^-32, so the redraw path almost never runs.
     """
-    leftover = (np.uint64(0) - bounds) % bounds
+    _check_lanes(keys=keys, counters=counters, bounds=bounds)
+    if bounds.size and bounds.min() == 0:
+        raise ValueError("every bound must be >= 1")
     raws, counters = raw_many(keys, counters)
-    rejected = raws < leftover
+    lanes = np.flatnonzero(raws < bounds)
+    leftover = (np.uint64(0) - bounds[lanes]) % bounds[lanes]
+    rejected = raws[lanes] < leftover
     while rejected.any():
-        idx = np.nonzero(rejected)[0]
-        counters[idx] += np.uint64(1)
-        raws[idx] = _mix64_array(keys[idx] + counters[idx] * np.uint64(_GAMMA))
-        rejected[idx] = raws[idx] < leftover[idx]
-    return raws % bounds, counters
+        lanes, leftover = lanes[rejected], leftover[rejected]
+        counters[lanes] += np.uint64(1)
+        raws[lanes] = _raws(keys[lanes], counters[lanes])
+        rejected = raws[lanes] < leftover
+    np.remainder(raws, bounds, out=raws)
+    return raws, counters

@@ -31,9 +31,15 @@ deliberately independent of the coefficient formulas in polynomials.py.
 Ensemble runs (``estimate_transition``, ``terminal_state_counts``) assign
 substream k of the master seed to trajectory k and reduce to terminal-state
 counts, so results are bit-reproducible regardless of thread count or
-chunking.  A vectorized sampler that draws from the float one-step law
-directly (one draw per step) is available as sampler="coefficients"; it is
-a labeled fast path and is excluded from mechanism-agreement tests.
+chunking.  The vectorized literal sampler keeps each lane's state, urn
+sizes and picks in uint64, the dtype of the draws, and moves a lane by
+adding its up mask and subtracting its down mask.  A vectorized sampler
+that draws from the float one-step law directly (one draw per step) is
+available as sampler="coefficients"; it is a labeled fast path and is
+excluded from mechanism-agreement tests.  It compares float(raw) with the
+law's thresholds scaled by 2^64: scaling by a power of two is exact, so
+each compare decides as u = raw * 2^-64 against the unscaled threshold
+would.
 """
 
 from __future__ import annotations
@@ -167,17 +173,29 @@ def _mechanism_chunk(
     all lanes advanced in lockstep (two bounded draws per step per lane)."""
     keys = stream_keys(seed, start, size)
     counters = np.zeros(size, dtype=np.uint64)
-    states = np.full(size, n0, dtype=np.int64)
+    states = np.full(size, n0, dtype=np.uint64)
     for _ in range(t):
-        main_total = (2 * states + (a + b + 1)).astype(np.uint64)
+        main_total = states * np.uint64(2)
+        main_total += np.uint64(a + b + 1)
         main_pick, counters = draw_below_many(keys, counters, main_total)
-        blue = main_pick < states.astype(np.uint64)
-        aux_total = np.where(blue, main_total - np.uint64(1), main_total + np.uint64(1))
+        blue = main_pick < states
+        # the auxiliary urn holds one ball more than the main urn after a
+        # red draw, one fewer after a blue draw; subtracting the mask twice
+        # beats np.where or a masked ufunc on lanes that mix both colors
+        aux_total = main_total + np.uint64(1)
+        aux_total -= blue
+        aux_total -= blue
         aux_pick, counters = draw_below_many(keys, counters, aux_total)
-        blue_side = states.astype(np.uint64) + np.uint64(a)
-        matched = np.where(blue, aux_pick < blue_side, aux_pick >= blue_side + np.uint64(1))
-        states += np.where(matched, np.where(blue, -1, 1), 0)
-    return np.bincount(states, minlength=n0 + t + 1).astype(np.int64)
+        # a match: blue drawn and a blue auxiliary pick (below n + a), or red
+        # drawn and a red auxiliary pick (above n + a)
+        blue_side = states + np.uint64(a)
+        down = aux_pick < blue_side
+        down &= blue
+        up = aux_pick > blue_side
+        up &= ~blue
+        states += up
+        states -= down
+    return np.bincount(states.astype(np.intp), minlength=n0 + t + 1).astype(np.int64)
 
 
 def _coefficient_chunk(
@@ -189,14 +207,19 @@ def _coefficient_chunk(
     size: int,
 ) -> np.ndarray:
     """Fast path: one categorical draw per step from the float one-step law."""
-    down_below, stay_below = thresholds
+    # float(raw) < x * 2^64 exactly when raw * 2^-64 < x
+    down_below, stay_below = (x * 2.0**64 for x in thresholds)
     keys = stream_keys(seed, start, size)
     counters = np.zeros(size, dtype=np.uint64)
     states = np.full(size, n0, dtype=np.int64)
     for _ in range(t):
         raws, counters = raw_many(keys, counters)
-        u = raws * 2.0**-64
-        states += np.where(u < down_below[states], -1, np.where(u < stay_below[states], 0, 1))
+        raw_float = raws.astype(np.float64)
+        # down_below <= stay_below, so a lane never steps both ways
+        down = raw_float < down_below[states]
+        up = raw_float >= stay_below[states]
+        states += up
+        states -= down
     return np.bincount(states, minlength=n0 + t + 1).astype(np.int64)
 
 

@@ -89,3 +89,81 @@ class TestVectorEquivalence:
     def test_large_seed_masked_consistently(self):
         big = (1 << 70) + 12345
         assert stream_key(big, 0) == stream_key(big % (1 << 64), 0)
+
+    def test_inputs_unchanged_and_redraw_chains_match_scalar(self):
+        # a bound of 2^63 + 1 rejects almost half of all raws, so most lanes
+        # pass the below-bound prefilter and many redraw several times
+        bound = (1 << 63) + 1
+        keys = stream_keys(77, 0, 16)
+        counters = np.zeros(16, dtype=np.uint64)
+        bounds = np.full(16, bound, dtype=np.uint64)
+        streams = [CounterStream.from_seed(77, k) for k in range(16)]
+        for _ in range(50):
+            keys_before, counters_before = keys.copy(), counters.copy()
+            raw_many(keys, counters)
+            values, advanced = draw_below_many(keys, counters, bounds)
+            assert np.array_equal(keys, keys_before)
+            assert np.array_equal(counters, counters_before)
+            assert [int(v) for v in values] == [s.draw_below(bound) for s in streams]
+            assert [int(c) for c in advanced] == [s.counter for s in streams]
+            counters = advanced
+        assert int(counters.sum()) > 50 * 16 + 200  # redraws did happen
+        assert np.all(bounds == np.uint64(bound))
+
+
+class TestVectorValidation:
+    """The vectorized draws take uint64 lanes of one shape; anything else
+    would be promoted by numpy to float64 and give values of another stream."""
+
+    @staticmethod
+    def lanes():
+        keys = stream_keys(1, 0, 6)
+        counters = np.zeros(6, dtype=np.uint64)
+        bounds = np.array([3, 5, 7, 11, 13, 360], dtype=np.uint64)
+        return {"keys": keys, "counters": counters, "bounds": bounds}
+
+    def test_uint64_lanes_give_the_scalar_draws(self):
+        values, _ = draw_below_many(**self.lanes())
+        streams = [CounterStream.from_seed(1, k) for k in range(6)]
+        expected = [s.draw_below(b) for s, b in zip(streams, [3, 5, 7, 11, 13, 360])]
+        assert expected == [0, 0, 6, 3, 2, 146]
+        assert [int(v) for v in values] == expected
+
+    @pytest.mark.parametrize("name", ["keys", "counters", "bounds"])
+    def test_draw_below_many_rejects_int64(self, name):
+        lanes = self.lanes()
+        lanes[name] = lanes[name].astype(np.int64)
+        with pytest.raises(ValueError, match=name):
+            draw_below_many(**lanes)
+
+    @pytest.mark.parametrize("name", ["keys", "counters"])
+    def test_raw_many_rejects_int64(self, name):
+        lanes = self.lanes()
+        del lanes["bounds"]
+        lanes[name] = lanes[name].astype(np.int64)
+        with pytest.raises(ValueError, match=name):
+            raw_many(**lanes)
+
+    def test_rejects_non_arrays(self):
+        lanes = self.lanes()
+        lanes["bounds"] = [3, 5, 7, 11, 13, 360]
+        with pytest.raises(ValueError, match="bounds"):
+            draw_below_many(**lanes)
+
+    @pytest.mark.parametrize("name", ["keys", "counters", "bounds"])
+    def test_draw_below_many_rejects_shape_mismatch(self, name):
+        lanes = self.lanes()
+        lanes[name] = lanes[name][:5]
+        with pytest.raises(ValueError, match="shape"):
+            draw_below_many(**lanes)
+
+    def test_raw_many_rejects_shape_mismatch(self):
+        lanes = self.lanes()
+        with pytest.raises(ValueError, match="shape"):
+            raw_many(lanes["keys"], lanes["counters"][:5])
+
+    def test_rejects_zero_bound(self):
+        lanes = self.lanes()
+        lanes["bounds"][3] = 0
+        with pytest.raises(ValueError, match="bound"):
+            draw_below_many(**lanes)

@@ -6,6 +6,7 @@ agreement (here sampled, in the acceptance suite exhaustive) is the
 package's central cross-check.
 """
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -150,6 +151,28 @@ class TestEnsembles:
             sigma = (p * (1 - p) / total) ** 0.5
             assert abs(counts[j] / total - p) < 5 * sigma
 
+    @pytest.mark.parametrize("params", [ModelParams(1, 2), ModelParams(0, 5), ModelParams(4, 4)])
+    def test_coefficient_sampler_matches_scalar_replay_lane_for_lane(self, params):
+        # the scalar replay draws u = raw * 2^-64 and steps down below
+        # down_n, stays below down_n + stay_n, else steps up; lane k's end
+        # state is the one count by which the first k + 1 lanes' histogram
+        # exceeds the first k lanes'
+        n0, t, seed, total = 3, 30, 8080, 200
+        laws = [step_coefficients(s, params, "float") for s in range(n0 + t + 1)]
+        previous = np.zeros(n0 + t + 1, dtype=np.int64)
+        for k in range(total):
+            stream = CounterStream.from_seed(seed, k)
+            state = n0
+            for _ in range(t):
+                u = stream.raw64() * 2.0**-64
+                law = laws[state]
+                state += -1 if u < law.down else 0 if u < law.down + law.stay else 1
+            counts = terminal_state_counts(
+                n0, t, params, k + 1, seed, sampler="coefficients"
+            )
+            assert np.flatnonzero(counts - previous).tolist() == [state]
+            previous = counts
+
     def test_sampler_name_validated(self):
         with pytest.raises(ValueError):
             terminal_state_counts(0, 1, ModelParams(0, 0), 10, 1, sampler="magic")
@@ -178,3 +201,50 @@ class TestEstimateTransition:
         one = estimate_transition(1, 3, 2, ModelParams(1, 1), 400000, seed=55, threads=1)
         four = estimate_transition(1, 3, 2, ModelParams(1, 1), 400000, seed=55, threads=4)
         assert one == four
+
+
+# sha256 of the little-endian int64 counts of terminal_state_counts over
+# n0 in (0, 7), t in (1, 40) and trajectories in (1, 4097), in that nesting,
+# at seed 2009; and of one two-chunk run on two threads.  They pin both
+# samplers' draw sequences to the bytes they have always produced.
+GOLDEN_SEED = 2009
+GOLDEN_GRID = {
+    ("urn", (0, 0)): "af6e9e0a03a3d45dda04119938882a6dc8c5d661037a47c3e6b8913e8c3ce46d",
+    ("urn", (2, 3)): "850f9ceb932e93c2adde75b2ba25a2fd3263c1c8c4fa6eec3224bd7d9257481c",
+    ("urn", (6, 1)): "ca15280249cbab839d398c60d5de3925cf7dc5bee6206fe9f8923aa4a312a684",
+    ("coefficients", (0, 0)): "92559bf693f07bc683dce83db3ba383b52afe821414a204a659bc3e2c155da37",
+    ("coefficients", (2, 3)): "48d5c54950fd9cc166a3db9bca347ffeb90157b8a984d83615cd37669f0a01b3",
+    ("coefficients", (6, 1)): "395adc1f21d1fc11bfbacbd81f5dcd740e8ff3d4070b44fc1216ffde2e724257",
+}
+GOLDEN_TWO_CHUNK = {
+    "urn": "af12adb459bb642d582eee95d46690940da1ac0922cc58983ddb69f5bcda5917",
+    "coefficients": "599c3648a20eb384b91b33a7c8b4889bd401ec184e215c221f9b2336b0a4867d",
+}
+
+
+def _digest(*histograms):
+    h = hashlib.sha256()
+    for counts in histograms:
+        h.update(counts.astype("<i8").tobytes())
+    return h.hexdigest()
+
+
+class TestGoldenCounts:
+    @pytest.mark.parametrize("sampler, ab", list(GOLDEN_GRID))
+    def test_grid(self, sampler, ab):
+        params = ModelParams(*ab)
+        histograms = [
+            terminal_state_counts(n0, t, params, lanes, GOLDEN_SEED, sampler=sampler)
+            for n0 in (0, 7)
+            for t in (1, 40)
+            for lanes in (1, 4097)
+        ]
+        assert _digest(*histograms) == GOLDEN_GRID[sampler, ab]
+
+    @pytest.mark.parametrize("sampler", list(GOLDEN_TWO_CHUNK))
+    def test_two_chunks_on_two_threads(self, sampler):
+        lanes = (1 << 18) + (1 << 15) + 3
+        counts = terminal_state_counts(
+            7, 4, ModelParams(2, 3), lanes, GOLDEN_SEED, threads=2, sampler=sampler
+        )
+        assert _digest(counts) == GOLDEN_TWO_CHUNK[sampler]
