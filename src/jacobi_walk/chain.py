@@ -15,16 +15,14 @@ probabilities (P^t)_{ij} live here:
 
       (P^t)_{ij} = pi_j * integral_0^1 x^t Q_i(x) Q_j(x) W(x) dx,
 
-  with pi_j = 1 / norm_squared(j).  In float mode the integrand of cell j
-  is a polynomial of degree t + i + j, and an M-point Gauss rule is exact up
-  to degree 2M - 1, so one rule with floor((t+i+reach)/2) + 1 nodes
-  integrates every cell of a row up to its last reachable column
-  reach = min(j_max, i + t) exactly up to rounding; the row is one product
-  of that rule's poly_table with the weighted x^t Q_i values.  In exact
-  mode the cell is pi_j sum_{k,l} c_ik c_jl mu_{t+k+l} over the
-  closed-form monomial coefficients c and the normalized moments mu; the
-  row forms r_l = sum_k c_ik mu_{t+k+l} once and reads every cell off it
-  as pi_j sum_l c_jl r_l, in integers over common denominators.
+  with pi_j = 1 / norm_squared(j).  Both engines read a row's reachable
+  columns max(0, i - t)..reach, reach = min(j_max, i + t), off one block
+  of ``integrate``'s spectral cells (the Gram matrix is another).  In float
+  mode the integrand of cell j is a polynomial of degree t + i + j, and an
+  M-point Gauss rule is exact up to degree 2M - 1, so one rule with
+  floor((t+i+reach)/2) + 1 nodes integrates every cell of a row exactly
+  up to rounding.  In exact mode the cells come from the closed-form
+  monomial coefficients and the normalized moments, in integers.
 
 Banded propagation runs one step body on ndarrays for both engines:
 float64 for the float engine, dtype object holding integers for the exact
@@ -55,12 +53,11 @@ import numpy as np
 from .model import ModelParams, NumericalError, check_engine, check_int
 from .polynomials import (
     StepCoefficients,
+    _common_denominator,
     invariant_measure_table,
-    poly_table,
     step_coefficients,
-    total_mass,
 )
-from .integrate import _exact_spectral_cells, gauss_jacobi_rule
+from .integrate import _exact_spectral_cells, _float_spectral_cells
 
 __all__ = [
     "BandedTransition",
@@ -172,11 +169,8 @@ def matrix_power_row(t, i, j_max, params: ModelParams, engine: str = "exact") ->
             mass = _banded_step(mass, *bands)
         # tolist yields plain floats, never np.float64
         return mass[: j_max + 1].tolist()
-    den = math.lcm(*(c.denominator for band in bands for c in band))
-    bands = [
-        np.array([c.numerator * (den // c.denominator) for c in band], dtype=object)
-        for band in bands
-    ]
+    nums, den = _common_denominator(np.concatenate(bands))
+    bands = np.split(np.array(nums, dtype=object), np.cumsum([band.size for band in bands[:-1]]))
     scale = 1
     for _ in range(t):
         mass = _banded_step(mass, *bands)
@@ -203,29 +197,6 @@ def _clamp_probability(value: float, context: str) -> float:
     raise NumericalError(f"{context}: value {value!r} outside [0, 1] beyond rounding slack")
 
 
-def _float_spectral_row(t: int, i: int, j_max: int, params: ModelParams) -> list:
-    """Float row i of P^t for j = 0..j_max from one Gauss rule and one table.
-
-    The rule has floor((t+i+reach)/2) + 1 nodes, reach = min(j_max, i + t)
-    being the last reachable column, so it is exact for every cell's
-    integrand.  norm_squared(j) is total_mass / pi_j, all pi_j from one
-    table.  Unreachable cells are exactly 0.0.
-    """
-    row = [0.0] * (j_max + 1)
-    first, reach = max(0, i - t), min(j_max, i + t)
-    if first > reach:
-        return row
-    rule = gauss_jacobi_rule((t + i + reach) // 2 + 1, params)
-    table = poly_table(max(i, reach), rule.nodes, params)
-    integrals = table[: reach + 1] @ (rule.weights * rule.nodes**t * table[i])
-    pi = invariant_measure_table(reach, params, "float")
-    mass = total_mass(params, "float")
-    for j in range(first, reach + 1):
-        value = float(integrals[j]) / (mass / pi[j])
-        row[j] = _clamp_probability(value, f"spectral_transition(t={t}, i={i}, j={j})")
-    return row
-
-
 def spectral_transition(t, i, j, params: ModelParams, engine: str = "float"):
     """(P^t)_{ij} via the Karlin-McGregor integral representation.
 
@@ -248,21 +219,29 @@ def spectral_transition(t, i, j, params: ModelParams, engine: str = "float"):
 def spectral_transition_row(t, i, params: ModelParams, j_max, engine: str = "float") -> list:
     """Row i of P^t for j = 0..j_max via the spectral representation.
 
-    Float mode builds one Gauss rule and one polynomial table for the whole
-    row; exact mode forms the row's moment sums once and reads each cell
-    off them.  Unreachable cells are exactly zero in both.
+    The reachable columns max(0, i-t)..min(j_max, i+t) are one block of
+    ``integrate``'s spectral cells; float mode clamps their rounding dust
+    at the [0, 1] boundary.  Unreachable cells are exactly zero in both.
     """
     t = check_int(t, "t")
     i = check_int(i, "i")
     j_max = check_int(j_max, "j_max")
     check_engine(engine)
-    if engine == "float":
-        return _float_spectral_row(t, i, j_max, params)
-    params.require_integral("engine='exact'")
-    row = [Fraction(0)] * (j_max + 1)
+    exact = engine == "exact"
+    if exact:
+        params.require_integral("engine='exact'")
+    row = [Fraction(0) if exact else 0.0] * (j_max + 1)
     first, reach = max(0, i - t), min(j_max, i + t)
     if first <= reach:
-        row[first : reach + 1] = _exact_spectral_cells(t, [i], range(first, reach + 1), params)[0]
+        cols = range(first, reach + 1)
+        if exact:
+            row[first : reach + 1] = _exact_spectral_cells(t, [i], cols, params)[0]
+        else:
+            cells = _float_spectral_cells(t, [i], cols, params, (t + i + reach) // 2 + 1)
+            row[first : reach + 1] = [
+                _clamp_probability(value, f"spectral_transition(t={t}, i={i}, j={j})")
+                for j, value in zip(cols, cells[0].tolist())
+            ]
     return row
 
 

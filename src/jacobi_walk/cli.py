@@ -28,7 +28,7 @@ from functools import cache
 from .chain import matrix_power_row, spectral_transition_row, stationarity_residuals
 from .integrate import gauss_jacobi_rule, orthonormality_table
 from .model import ModelParams, NumericalError, check_int
-from .polynomials import eval_poly, poly_table, step_coefficients
+from .polynomials import _poly_sweep, step_coefficients
 from .urn import binomial_estimate, terminal_state_counts
 
 __all__ = ["main"]
@@ -114,8 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method",
         choices=("km", "matrix", "mc"),
-        default="km",
-        help="km = spectral integral (default), matrix = banded power, mc = Monte Carlo",
+        default="matrix",
+        help="matrix = banded power (default), km = spectral integral, mc = Monte Carlo",
     )
     p.add_argument("--trajectories", type=_int_at_least(1), help="Monte Carlo sample size")
     p.add_argument("--seed", type=_int_at_least(0), help="Monte Carlo master seed")
@@ -189,10 +189,7 @@ def cmd_eval(args) -> tuple[list[str], list[list]]:
         raise UsageError(f"--x must be a number or fraction, got {args.x!r}") from None
     if not 0 <= x <= 1:
         raise UsageError(f"--x must lie in [0, 1], got {args.x}")
-    if args.engine == "exact":
-        values = [eval_poly(n, x, params, "exact") for n in range(args.n_max + 1)]
-    else:
-        values = [float(v) for v in poly_table(args.n_max, [float(x)], params)[:, 0]]
+    values = _poly_sweep(args.n_max, x, params, args.engine)
     return ["n", "value"], [[n, v] for n, v in enumerate(values)]
 
 

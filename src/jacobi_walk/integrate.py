@@ -15,10 +15,14 @@ The exact route runs on integers over common denominators.  The moments
 scaled to unit mass, mu_k = (a+1)_k / (a+b+2)_k, share the denominator
 (a+b+2)_K up to order K; a polynomial's coefficients share the lcm of
 theirs, and the closed-form coefficients of Q_n share (b+1)_n.  An
-integral is then one integer dot product and one Fraction.  The exact
-Gram matrix C H C^T diag(pi), with C the coefficient matrix and H the
-Hankel matrix of the mu_k, and the exact spectral transition rows of
-``chain`` come from one such bilinear form, ``_exact_spectral_cells``.
+integral is then one integer dot product and one Fraction.
+
+Every spectral cell pi_j integral(x**t Q_i Q_j W) / total_mass is computed
+here, once per engine; ``chain``'s spectral rows are blocks of cells and
+the orthonormality table is the t = 0 block.  ``_exact_spectral_cells``
+forms them from one bilinear form (at t = 0 the Gram matrix
+C H C^T diag(pi), C the coefficient matrix and H the Hankel matrix of the
+mu_k), ``_float_spectral_cells`` on one Gauss rule.
 
 The rule is built in three steps, each written out here rather than taken
 from a linear-algebra package, which keeps the quadrature path
@@ -462,34 +466,47 @@ def integrate_quadrature(f, order, params: ModelParams) -> float:
     return rule.integrate([float(f(x)) for x in rule.nodes])
 
 
+def _float_spectral_cells(t: int, rows, cols, params: ModelParams, order: int) -> np.ndarray:
+    """Float pi_j * integral(x**t Q_i Q_j W) / total_mass for i in rows, j in cols.
+
+    The float twin of ``_exact_spectral_cells``, on the Gauss rule of the
+    given order: one long-double ``_orthonormal_sweep`` tabulates
+    p_n = Q_n / norm(Q_n) at the nodes, the cells are the block
+    (p_rows * w x**t) @ p_cols^T times sqrt(norm_i / norm_j), and
+    norm_n = total_mass / pi_n comes from one pi table, rational whenever
+    the exponents allow it.  Cells with j >> i divide near-cancelled dust by
+    a polynomially small norm; accumulating in extended precision and
+    rounding to double once gains an order of magnitude there.
+    """
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    degree = int(max(rows.max(), cols.max()))
+    norm_engine = "exact" if params.is_integral else "float"
+    weight_mass = total_mass(params, norm_engine)
+    pi = invariant_measure_table(degree, params, norm_engine)
+    norms = np.array([float(weight_mass / p) for p in pi], dtype=np.longdouble)
+    rule = gauss_jacobi_rule(order, params)
+    nodes = rule.nodes.astype(np.longdouble)
+    diag, off, mass = _symmetrized_recurrence(degree, params)
+    with np.errstate(all="ignore"):
+        table = np.array(list(_orthonormal_sweep(nodes, diag, off, mass)))
+        cells = (table[rows] * (rule.weights.astype(np.longdouble) * nodes**t)) @ table[cols].T
+        return (cells * np.sqrt(norms[rows, None] / norms[None, cols])).astype(float)
+
+
 def orthonormality_table(n_max, params: ModelParams, engine: str = "float"):
     """Table of integral(Q_i * Q_j * W) / norm_squared(j) for i, j <= n_max.
 
-    The exact engine forms the Gram matrix C H C^T diag(pi) from the
-    closed-form coefficients C and the Hankel matrix H of the normalized
-    moments, and returns a nested list of Fractions, equal to the identity
-    matrix by orthogonality.  The float engine quadratures the
-    orthonormalized recurrence against a rule of 2 * n_max + 1 nodes and
-    rescales each entry by norm_i / norm_j, returning an ndarray.  Entries with j >> i divide near-cancelled dust by
-    a polynomially small norm, so the float gram is accumulated in extended
-    precision and rounded once at the end; plain double evaluation loses an
-    order of magnitude there.
+    Both engines compute the t = 0 block of the spectral cells.  The exact
+    engine forms the Gram matrix C H C^T diag(pi) from the closed-form
+    coefficients C and the Hankel matrix H of the normalized moments, and
+    returns a nested list of Fractions, equal to the identity matrix by
+    orthogonality.  The float engine returns an ndarray from a rule of
+    2 * n_max + 1 nodes; the n_max + 1 that degree 2 * n_max needs came out
+    less accurate in most tables.
     """
     n_max = check_int(n_max, "n_max")
     check_engine(engine)
+    degrees = range(n_max + 1)
     if engine == "exact":
-        return _exact_spectral_cells(0, range(n_max + 1), range(n_max + 1), params)
-    # norm_squared(j) is total_mass / pi_j; one pi table serves every j, in
-    # rational arithmetic whenever the exponents allow it
-    norm_engine = "exact" if params.is_integral else "float"
-    weight_mass = total_mass(params, norm_engine)
-    norms = [weight_mass / pi for pi in invariant_measure_table(n_max, params, norm_engine)]
-    rule = gauss_jacobi_rule(2 * n_max + 1, params)
-    diag, off, mass = _symmetrized_recurrence(n_max, params)
-    with np.errstate(all="ignore"):
-        sweep = _orthonormal_sweep(rule.nodes.astype(np.longdouble), diag, off, mass)
-        table = np.array(list(sweep))
-        gram = (table * rule.weights.astype(np.longdouble)) @ table.T
-        scale = np.array([float(norm) for norm in norms], dtype=np.longdouble)
-        ratio = np.sqrt(scale[:, None] / scale[None, :])
-        return (gram * ratio).astype(float)
+        return _exact_spectral_cells(0, degrees, degrees, params)
+    return _float_spectral_cells(0, degrees, degrees, params, 2 * n_max + 1)

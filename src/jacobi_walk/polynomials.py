@@ -122,6 +122,18 @@ def _walk_steps(n, params: ModelParams, engine: str):
         yield c.stay, c.down, c.up
 
 
+def _poly_sweep(n, x, params: ModelParams, engine: str):
+    """Q_0(x)..Q_n(x) as one sweep's generator: Fractions (exact) or binary64."""
+    n = check_int(n, "degree")
+    check_engine(engine)
+    if engine == "exact":
+        params.require_integral("engine='exact'")
+        x, one = Fraction(x), Fraction(1)
+    else:
+        x, one = float(x), 1.0
+    return _three_term_sweep(x, one, _walk_steps(n, params, engine))
+
+
 def eval_poly(n, x, params: ModelParams, engine: str = "float"):
     """Evaluate Q_n(x) by the forward recurrence.
 
@@ -130,14 +142,7 @@ def eval_poly(n, x, params: ModelParams, engine: str = "float"):
     normalization (values stay within the modest growth of |Q_n(0)|); float
     agreement with exact has been checked to degree several hundred.
     """
-    n = check_int(n, "degree")
-    check_engine(engine)
-    if engine == "exact":
-        params.require_integral("engine='exact'")
-        x, one = Fraction(x), Fraction(1)
-    else:
-        x, one = float(x), 1.0
-    for q in _three_term_sweep(x, one, _walk_steps(n, params, engine)):
+    for q in _poly_sweep(n, x, params, engine):
         pass
     return q
 

@@ -200,9 +200,10 @@ class TestSpectralTransition:
 
     @pytest.mark.parametrize("ab", list(product(range(7), repeat=2)))
     def test_float_row_at_benchmark_scale(self, ab):
-        # the float-sweep benchmark's range: t up to 120, i up to 20
+        # the float-sweep benchmark's range, t up to 120 and i up to 20, and
+        # a larger start state
         params = ModelParams(*ab)
-        for t, i in product((10, 60, 120), (0, 13, 20)):
+        for t, i in product((10, 60, 120), (0, 13, 20, 50)):
             j_max = i + t + 5
             gauss_jacobi_rule.cache_clear()
             row = spectral_transition_row(t, i, params, j_max, "float")

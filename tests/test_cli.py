@@ -7,11 +7,12 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from jacobi_walk import ModelParams, stationarity_residuals
+from jacobi_walk import ModelParams, eval_poly, stationarity_residuals
 import jacobi_walk.cli as cli_module
 from jacobi_walk.cli import build_parser, main
 
@@ -87,7 +88,9 @@ class TestGoldenOutputs:
         assert [tuple(r) for r in rows] == [("0", "1/3"), ("1", "1/2"), ("2", "1/6")]
 
     def test_transition_km_identity(self):
-        code, text = run_cli("transition", "--t", "0", "--i", "4", "--j-max", "5")
+        code, text = run_cli(
+            "transition", "--t", "0", "--i", "4", "--j-max", "5", "--method", "km"
+        )
         assert code == 0
         _, rows = parse_csv(text)
         values = [float(r[1]) for r in rows]
@@ -97,13 +100,23 @@ class TestGoldenOutputs:
     def test_transition_methods_agree(self):
         _, km = run_cli(
             "transition", "--t", "3", "--i", "1", "--j-max", "4",
-            "--alpha", "1", "--beta", "2", "--engine", "exact",
+            "--alpha", "1", "--beta", "2", "--method", "km", "--engine", "exact",
         )
         _, matrix = run_cli(
             "transition", "--t", "3", "--i", "1", "--j-max", "4",
             "--alpha", "1", "--beta", "2", "--method", "matrix", "--engine", "exact",
         )
         assert km == matrix
+
+    def test_transition_default_is_matrix(self):
+        # the float km row here has -1.4e-09 dust in a cell and exits 3
+        argv = (
+            "transition", "--t", "400", "--i", "0", "--j-max", "405",
+            "--alpha", "6", "--beta", "6",
+        )
+        code, default = run_cli(*argv)
+        assert code == 0
+        assert default == run_cli(*argv, "--method", "matrix")[1]
 
     def test_stationary_exact_golden(self):
         code, text = run_cli("stationary", "--n-max", "3", "--engine", "exact")
@@ -157,6 +170,17 @@ class TestGoldenOutputs:
         assert code == 0
         _, rows = parse_csv(text)
         assert rows[2][1] == "-1/2"
+
+    def test_eval_exact_matches_eval_poly(self):
+        code, text = run_cli(
+            "eval", "--n-max", "40", "--x", "3/7", "--alpha", "3", "--beta", "5", "--engine", "exact"
+        )
+        assert code == 0
+        _, rows = parse_csv(text)
+        params = ModelParams(3, 5)
+        assert rows == [
+            [str(n), str(eval_poly(n, Fraction(3, 7), params, "exact"))] for n in range(41)
+        ]
 
     def test_quadrule_two_points(self):
         code, text = run_cli("quadrule", "--points", "2")
@@ -290,7 +314,7 @@ class TestExitCodes:
         [
             (("quadrule", "--points", "200"), 200),
             (("orthocheck", "--i-max", "20"), 41),
-            (("transition", "--t", "10", "--i", "2", "--j-max", "12"), 13),
+            (("transition", "--t", "10", "--i", "2", "--j-max", "12", "--method", "km"), 13),
         ],
     )
     def test_underflowed_mass_is_one_line(self, argv, order):
