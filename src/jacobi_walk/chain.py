@@ -1,7 +1,8 @@
 """Walk dynamics: banded one-step matrix, exact powers, spectral closed form.
 
 The walk's one-step matrix P is tridiagonal: row n holds (down_n, stay_n,
-up_n) at columns (n-1, n, n+1).  Two independent routes to the t-step
+up_n) at columns (n-1, n, n+1), sliced from one ``polynomials._step_table``
+by ``build_transition``.  Two independent routes to the t-step
 probabilities (P^t)_{ij} live here:
 
 * ``matrix_power_transition``: t banded row-vector products in exact
@@ -54,8 +55,8 @@ from .model import ModelParams, NumericalError, check_engine, check_int
 from .polynomials import (
     StepCoefficients,
     _common_denominator,
+    _step_table,
     invariant_measure_table,
-    step_coefficients,
 )
 from .integrate import _exact_spectral_cells, _float_spectral_cells
 
@@ -136,12 +137,12 @@ def build_transition(N, params: ModelParams, engine: str = "float") -> BandedTra
     """One-step matrix truncated to the first N states."""
     N = check_int(N, "N", 1)
     check_engine(engine)
-    coeffs = [step_coefficients(n, params, engine) for n in range(N)]
+    up, stay, down = _step_table(N - 1, params, engine)
     return BandedTransition(
         size=N,
-        sub=tuple(c.down for c in coeffs[1:]),
-        diag=tuple(c.stay for c in coeffs),
-        sup=tuple(c.up for c in coeffs[:-1]),
+        sub=tuple(down[1:].tolist()),
+        diag=tuple(stay.tolist()),
+        sup=tuple(up[:-1].tolist()),
         params=params,
         engine=engine,
     )

@@ -28,7 +28,7 @@ from functools import cache
 from .chain import matrix_power_row, spectral_transition_row, stationarity_residuals
 from .integrate import gauss_jacobi_rule, orthonormality_table
 from .model import ModelParams, NumericalError, check_int
-from .polynomials import _poly_sweep, step_coefficients
+from .polynomials import _poly_sweep, _step_table
 from .urn import binomial_estimate, terminal_state_counts
 
 __all__ = ["main"]
@@ -172,17 +172,14 @@ def _require_float_engine(args, context: str) -> None:
         raise UsageError(f"--engine exact is not available for {context}; drop the flag")
 
 
-def cmd_coeffs(args) -> tuple[list[str], list[list]]:
-    params = ModelParams(args.alpha, args.beta)
-    rows = []
-    for n in range(args.n_max + 1):
-        c = step_coefficients(n, params, args.engine)
-        rows.append([n, c.up, c.stay, c.down, c.total])
-    return ["n", "up", "stay", "down", "sum"], rows
+def cmd_coeffs(args, params: ModelParams) -> tuple[list[str], list[list]]:
+    up, stay, down = _step_table(args.n_max, params, args.engine)
+    # the sum adds up + stay + down in the order of StepCoefficients.total
+    table = zip(range(args.n_max + 1), *(c.tolist() for c in (up, stay, down, up + stay + down)))
+    return ["n", "up", "stay", "down", "sum"], [list(row) for row in table]
 
 
-def cmd_eval(args) -> tuple[list[str], list[list]]:
-    params = ModelParams(args.alpha, args.beta)
+def cmd_eval(args, params: ModelParams) -> tuple[list[str], list[list]]:
     try:
         x = Fraction(args.x)
     except (ValueError, ZeroDivisionError):
@@ -193,8 +190,7 @@ def cmd_eval(args) -> tuple[list[str], list[list]]:
     return ["n", "value"], [[n, v] for n, v in enumerate(values)]
 
 
-def cmd_transition(args) -> tuple[list[str], list[list]]:
-    params = ModelParams(args.alpha, args.beta)
+def cmd_transition(args, params: ModelParams) -> tuple[list[str], list[list]]:
     if args.method in ("km", "matrix"):
         if args.method == "km":
             row = spectral_transition_row(args.t, args.i, params, args.j_max, args.engine)
@@ -214,27 +210,21 @@ def cmd_transition(args) -> tuple[list[str], list[list]]:
     return ["j", "probability", "stderr"], rows
 
 
-def cmd_stationary(args) -> tuple[list[str], list[list]]:
-    params = ModelParams(args.alpha, args.beta)
+def cmd_stationary(args, params: ModelParams) -> tuple[list[str], list[list]]:
     pi, residuals = stationarity_residuals(args.n_max + 1, params, args.engine)
     residuals.append(None)  # would need pi beyond the table
     return ["i", "pi", "residual"], [[n, p, r] for n, (p, r) in enumerate(zip(pi, residuals))]
 
 
-def cmd_orthocheck(args) -> tuple[list[str], list[list]]:
-    params = ModelParams(args.alpha, args.beta)
-    size = args.i_max + 1
+def cmd_orthocheck(args, params: ModelParams) -> tuple[list[str], list[list]]:
     table = orthonormality_table(args.i_max, params, args.engine)
-    rows = []
-    for i in range(size):
-        for j in range(size):
-            value = table[i][j] if args.engine == "exact" else float(table[i, j])
-            rows.append([i, j, value])
+    if args.engine == "float":
+        table = table.tolist()
+    rows = [[i, j, value] for i, row in enumerate(table) for j, value in enumerate(row)]
     return ["i", "j", "value"], rows
 
 
-def cmd_simulate(args) -> tuple[list[str], list[list]]:
-    params = ModelParams(args.alpha, args.beta)
+def cmd_simulate(args, params: ModelParams) -> tuple[list[str], list[list]]:
     _require_float_engine(args, "simulate")
     counts = terminal_state_counts(
         args.n0, args.t, params, args.trajectories, args.seed, threads=args.threads
@@ -245,8 +235,7 @@ def cmd_simulate(args) -> tuple[list[str], list[list]]:
     return ["state", "count", "estimate", "stderr"], rows
 
 
-def cmd_quadrule(args) -> tuple[list[str], list[list]]:
-    params = ModelParams(args.alpha, args.beta)
+def cmd_quadrule(args, params: ModelParams) -> tuple[list[str], list[list]]:
     _require_float_engine(args, "quadrule")
     rule = gauss_jacobi_rule(args.points, params)
     rows = [
@@ -287,7 +276,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        columns, rows = args.run(args)
+        columns, rows = args.run(args, ModelParams(args.alpha, args.beta))
         _check_finite(columns, rows)
     except UsageError as exc:
         print(f"jacobi-walk: error: {exc}", file=sys.stderr)

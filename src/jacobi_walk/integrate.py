@@ -65,9 +65,9 @@ from .polynomials import (
     _coefficient_numerators,
     _common_denominator,
     _rising,
+    _step_table,
     _three_term_sweep,
     invariant_measure_table,
-    step_coefficients,
     total_mass,
 )
 
@@ -184,14 +184,12 @@ def _symmetrized_recurrence(order, params: ModelParams):
     Returns (diag, off, mass): stay_0..stay_{order-1} on the diagonal,
     sqrt(up_k * down_{k+1}) for k = 0..order-1 off it (one entry past the
     order-sized matrix, so callers can climb to the order-th polynomial),
-    and the weight's total mass.  Rule construction and the orthonormality
-    check must share these exact double values; the quadrature identities
-    hold for the recurrence family as rounded, not the ideal one.
+    and the weight's total mass.  Rule construction and the float spectral
+    cells share these exact double values, sliced from one ``_step_table``;
+    the quadrature identities hold for the family as rounded, not the ideal.
     """
-    coeffs = [step_coefficients(k, params, "float") for k in range(order + 1)]
-    diag = np.array([c.stay for c in coeffs[:order]])
-    off = np.array([math.sqrt(coeffs[k].up * coeffs[k + 1].down) for k in range(order)])
-    return diag, off, total_mass(params, "float")
+    up, stay, down = _step_table(order, params, "float")
+    return stay[:order], np.sqrt(up[:order] * down[1:]), total_mass(params, "float")
 
 
 def _recurrence_steps(diag, off, dtype):

@@ -11,6 +11,11 @@ nonnegative and sum to 1, so (down_n, stay_n, up_n) is also the one-step law
 of a birth-and-death walk on the nonnegative integers: down_n is the
 probability of moving from n to n-1, stay_n of staying, up_n of moving to
 n+1.  down_0 = 0, so the walk never leaves the state space.
+
+The law's numerators and denominators are written once, in ``_law_terms``.
+``step_coefficients`` evaluates them at one state and ``_step_table`` over
+an array of states, which every other module slices: integers divided
+with Fraction for the exact engine, binary64 throughout for the float one.
 """
 
 from __future__ import annotations
@@ -64,37 +69,56 @@ class StepCoefficients:
         return self.up + self.stay + self.down
 
 
-def step_coefficients(n, params: ModelParams, engine: str = "float") -> StepCoefficients:
-    """Recurrence coefficients (up, stay, down) at state n.
+def _law_terms(n, params: ModelParams, engine: str):
+    """(numerator, denominator) of up, stay and down at state n.
 
-    Both engines share one set of integer-or-float numerators and
-    denominators; only the division differs: Fraction for the exact engine,
-    true division for the float engine.
+    The law's one formula, at one state or over an ndarray of states >= 1:
+    in integers for the exact engine, in binary64 throughout for the float one.
     """
-    n = check_int(n, "state index")
     check_engine(engine)
     if engine == "exact":
         a, b = params.require_integral("engine='exact'")
-        divide = Fraction
     else:
-        a, b = params.alpha, params.beta
-        divide = operator.truediv
-    if n == 0:
-        # up: the (a+b+1) factor cancels top and bottom; cancelling keeps
-        # the formula finite for real parameters with a + b = -1.
-        # stay: the single-fraction denominator below contains 2n + a + b,
-        # which is 0 at n = 0 when a = b = 0; cancelling the common (a + b)
-        # factor there leaves stay_0 = (a + 1)/(a + b + 2), valid for all a, b.
-        return StepCoefficients(
-            n=n, up=divide(b + 1, a + b + 2), stay=divide(a + 1, a + b + 2), down=divide(0, 1)
-        )
-    up = divide((n + b + 1) * (n + a + b + 1), (2 * n + a + b + 1) * (2 * n + a + b + 2))
-    stay = divide(
-        2 * n * (n + a + b + 1) + (a + 1) * b + a * (a + 1),
-        (2 * n + a + b) * (2 * n + a + b + 2),
+        a, b = float(params.alpha), float(params.beta)
+    if not isinstance(n, np.ndarray) and n == 0:
+        # Cancelling the factors that vanish at n = 0 keeps both finite for
+        # all a, b: (a+b+1) from up (0/0 at a + b = -1), and (a+b) from
+        # stay (0/0 at a = b = 0), which leaves stay_0 = (a+1)/(a+b+2).
+        return (b + 1, a + b + 2), (a + 1, a + b + 2), (0, 1)
+    s = 2 * n + a + b
+    return (
+        ((n + b + 1) * (n + a + b + 1), (s + 1) * (s + 2)),
+        (2 * n * (n + a + b + 1) + (a + 1) * b + a * (a + 1), s * (s + 2)),
+        (n * (n + a), s * (s + 1)),
     )
-    down = divide(n * (n + a), (2 * n + a + b) * (2 * n + a + b + 1))
+
+
+def step_coefficients(n, params: ModelParams, engine: str = "float") -> StepCoefficients:
+    """Recurrence coefficients (up, stay, down) at state n.
+
+    The terms of ``_law_terms`` divided with Fraction (exact) or true
+    division (float); entry n of ``_step_table`` equals it bit for bit.
+    """
+    n = check_int(n, "state index")
+    divide = Fraction if engine == "exact" else operator.truediv
+    up, stay, down = (divide(*terms) for terms in _law_terms(n, params, engine))
     return StepCoefficients(n=n, up=up, stay=stay, down=down)
+
+
+def _step_table(n_max, params: ModelParams, engine: str) -> tuple:
+    """(up, stay, down) at states 0..n_max: float64 ndarrays, or dtype object of Fractions.
+
+    ``_law_terms`` runs once over the array of states.  Huge exponents leave
+    inf or nan, silently as in the scalar's Python floats, for callers to check.
+    """
+    n_max = check_int(n_max, "n_max")
+    if engine == "exact":
+        states, divide = np.arange(1, n_max + 1, dtype=object), np.frompyfunc(Fraction, 2, 1)
+    else:
+        states, divide = np.arange(1.0, n_max + 1), np.true_divide
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairs = zip(_law_terms(0, params, engine), _law_terms(states, params, engine))
+        return tuple(np.concatenate(([divide(*zero)], divide(*terms))) for zero, terms in pairs)
 
 
 def _three_term_sweep(x, q0, steps):
@@ -115,23 +139,12 @@ def _three_term_sweep(x, q0, steps):
         yield q
 
 
-def _walk_steps(n, params: ModelParams, engine: str):
-    """(stay_k, down_k, up_k) for k = 0..n-1: the sweep's steps for Q_0..Q_n."""
-    for k in range(n):
-        c = step_coefficients(k, params, engine)
-        yield c.stay, c.down, c.up
-
-
 def _poly_sweep(n, x, params: ModelParams, engine: str):
     """Q_0(x)..Q_n(x) as one sweep's generator: Fractions (exact) or binary64."""
     n = check_int(n, "degree")
-    check_engine(engine)
-    if engine == "exact":
-        params.require_integral("engine='exact'")
-        x, one = Fraction(x), Fraction(1)
-    else:
-        x, one = float(x), 1.0
-    return _three_term_sweep(x, one, _walk_steps(n, params, engine))
+    up, stay, down = _step_table(n, params, engine)
+    x, one = (Fraction(x), Fraction(1)) if engine == "exact" else (float(x), 1.0)
+    return _three_term_sweep(x, one, zip(*(c[:n].tolist() for c in (stay, down, up))))
 
 
 def eval_poly(n, x, params: ModelParams, engine: str = "float"):
@@ -156,7 +169,8 @@ def poly_table(n_max, xs, params: ModelParams) -> np.ndarray:
     n_max = check_int(n_max, "n_max")
     xs = np.asarray(xs, dtype=float)
     out = np.empty((n_max + 1, xs.size))
-    sweep = _three_term_sweep(xs, np.ones(xs.size), _walk_steps(n_max, params, "float"))
+    up, stay, down = _step_table(n_max, params, "float")
+    sweep = _three_term_sweep(xs, np.ones(xs.size), zip(stay[:n_max], down[:n_max], up[:n_max]))
     # An overflow leaves inf or nan in the table for the caller to check, so
     # numpy's warnings are silenced.  The errstate wraps the loop that drives
     # the sweep: inside the generator it would stay in force across each

@@ -53,7 +53,7 @@ from typing import Literal
 import numpy as np
 
 from .model import ModelParams, check_int
-from .polynomials import step_coefficients
+from .polynomials import _step_table
 from .rng import CounterStream, draw_below_many, raw_many, stream_keys
 
 __all__ = [
@@ -252,11 +252,8 @@ def terminal_state_counts(
         def run(start: int, size: int) -> np.ndarray:
             return _mechanism_chunk(n0, t, a, b, seed, start, size)
     else:
-        laws = [step_coefficients(s, params, "float") for s in range(n0 + t + 1)]
-        thresholds = (
-            np.array([c.down for c in laws]),
-            np.array([c.down + c.stay for c in laws]),
-        )
+        _, stay, down = _step_table(n0 + t, params, "float")
+        thresholds = (down, down + stay)
         def run(start: int, size: int) -> np.ndarray:
             return _coefficient_chunk(n0, t, thresholds, seed, start, size)
     jobs = [

@@ -1,6 +1,7 @@
 """Command-line surface: golden outputs, format parity, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -26,12 +27,14 @@ def run_cli(*argv):
 
 
 def run_module(*argv):
-    """Run ``python -m jacobi_walk`` in a subprocess that imports the
-    package from this checkout's src, whatever PYTHONPATH pytest had."""
+    """Run ``python -W error -m jacobi_walk`` in a subprocess that imports
+    the package from this checkout's src, whatever PYTHONPATH pytest had.
+    -W error makes a leaked warning fail the run, as pytest's own
+    filterwarnings does in-process."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "jacobi_walk", *argv],
+        [sys.executable, "-W", "error", "-m", "jacobi_walk", *argv],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
@@ -189,6 +192,42 @@ class TestGoldenOutputs:
         assert len(rows) == 2
         assert float(rows[0][1]) == pytest.approx(0.21132486540518713, abs=1e-15)
         assert float(rows[0][2]) == pytest.approx(0.5, abs=1e-14)
+
+
+# sha256 of the stdout of each command at (alpha, beta) = (0, 0), (3, 5)
+# and (6, 1), concatenated in that order.  They pin every byte the tables
+# print, so a change in how the one-step law is tabulated, swept or summed
+# fails here even where it stays within the tests' tolerances.
+GOLDEN_COMMANDS = {
+    "coeffs": ("coeffs", "--n-max", "300"),
+    "stationary": ("stationary", "--n-max", "400"),
+    "transition": ("transition", "--t", "40", "--i", "5", "--j-max", "50"),
+    "eval": ("eval", "--n-max", "60", "--x", "3/7"),
+    "quadrule": ("quadrule", "--points", "97"),
+}
+GOLDEN_DIGESTS = {
+    ("coeffs", "float"): "8a109bad81a809a9c0b8d861be59d9d96ff9709cdcd2708c9e0bc554036b21a4",
+    ("coeffs", "exact"): "63ac51c7076e56083cd9c96353fea20be984433525ee8898046c44c884ff1cf5",
+    ("stationary", "float"): "e9c2b932a33581b6e4c926ea111e86836f104f59c5cf214c3edac9eacd5c74bb",
+    ("stationary", "exact"): "8829343b7285b00ac2e5a91a771531ec9f01a591708e886f883065abcbbe89f4",
+    ("transition", "float"): "cdef7b994ec23764cf0f9571bcd7f8d69f46317ae85be65c64cf4ac4fb2e1d9b",
+    ("transition", "exact"): "3cb37056e0d55bf7e3a85df6c194f88be45845fcf9573124bce5673c3c29ac28",
+    ("eval", "float"): "7385651b83c68abf8429cfdaa7acbf09a6900159343d859204591bc220676815",
+    ("eval", "exact"): "add3c6b1342cc14fd352f84409091750ab806d1e3346b6e177aeafa58230ed7d",
+    ("quadrule", "float"): "eaaf460382e475252b9a5142908180bfa8cd0e9bf98e30fd445897d8007c397d",
+}
+
+
+@pytest.mark.parametrize("command, engine", list(GOLDEN_DIGESTS))
+def test_golden_digest(command, engine):
+    h = hashlib.sha256()
+    for a, b in ((0, 0), (3, 5), (6, 1)):
+        code, text = run_cli(
+            *GOLDEN_COMMANDS[command], "--alpha", str(a), "--beta", str(b), "--engine", engine
+        )
+        assert code == 0
+        h.update(text.encode())
+    assert h.hexdigest() == GOLDEN_DIGESTS[command, engine]
 
 
 class TestFormatParity:

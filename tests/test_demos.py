@@ -19,7 +19,13 @@ def test_demos_found():
 def test_demo_runs(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    # -W error: a warning leaking from a demo fails it, as pytest's own
+    # filterwarnings does in-process
     result = subprocess.run(
-        [sys.executable, str(script)], cwd=ROOT, env=env, capture_output=True, text=True
+        [sys.executable, "-W", "error", str(script)],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
     )
     assert result.returncode == 0, result.stderr

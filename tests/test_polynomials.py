@@ -28,6 +28,7 @@ from jacobi_walk import (
     weight,
 )
 from jacobi_walk.model import check_int
+from jacobi_walk.polynomials import _step_table
 
 F = Fraction
 
@@ -138,6 +139,43 @@ class TestStepCoefficients:
         ce = step_coefficients(n, params, "exact")
         for name in ("up", "stay", "down"):
             assert getattr(cf, name) == pytest.approx(float(getattr(ce, name)), abs=1e-15)
+
+
+INTEGER_GRID = [(a, b) for a in range(7) for b in range(7)] + [(300, 0), (1000, 1000)]
+TABLE_GRID = INTEGER_GRID + [(-0.5, 2.75), (0.25, -0.9), (-0.99, 3.5), (2.5, 1.5)]
+
+
+class TestStepTable:
+    @pytest.mark.parametrize("engine, n_max", [("float", 3000), ("exact", 300)])
+    def test_table_is_scalar_bit_for_bit(self, engine, n_max):
+        for ab in TABLE_GRID:
+            params = ModelParams(*ab)
+            if engine == "exact" and not params.is_integral:
+                continue
+            up, stay, down = _step_table(n_max, params, engine)
+            assert up.dtype == stay.dtype == down.dtype == (object if engine == "exact" else float)
+            laws = [step_coefficients(n, params, engine) for n in range(n_max + 1)]
+            assert up.tolist() == [c.up for c in laws]
+            assert stay.tolist() == [c.stay for c in laws]
+            assert down.tolist() == [c.down for c in laws]
+
+    # For integer exponents the float law is the exact law correctly
+    # rounded.  Every integer the float engine forms in _law_terms, product
+    # or partial sum, is at most (2n + a + b + 2)**2, so all of them stay
+    # below 2**53 while 2n + a + b + 2 < 9.4e7: binary64 holds them exactly,
+    # and its one rounding, the division, is correctly rounded, as
+    # float(Fraction) is.
+    @pytest.mark.parametrize("ab", INTEGER_GRID + [(10**7, 3)])
+    def test_float_law_is_rounded_exact_law(self, ab):
+        params = ModelParams(*ab)
+        large = [10**k + d for k in range(2, 8) for d in (-1, 0, 1)]
+        for n in [*range(50), *large]:
+            cf = step_coefficients(n, params, "float")
+            ce = step_coefficients(n, params, "exact")
+            for name in ("up", "stay", "down"):
+                value = getattr(cf, name)
+                assert type(value) is float
+                assert value == float(getattr(ce, name))
 
 
 class TestEvalPoly:
