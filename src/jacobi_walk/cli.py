@@ -10,8 +10,8 @@ array of row objects keyed by the column names.
 Exit codes: 0 success, 2 argument error (message names the offending
 flag; an unwritable --output counts as one), 3 numerical failure (e.g. a
 Gauss rule whose weight's total mass underflows to 0.0 or whose nodes fail
-the root-count check, or a float cell that came out inf or nan, which is
-never printed).
+the root-count check, an inf or nan float cell, which is never printed,
+or an exponent too large for the arithmetic).
 """
 
 from __future__ import annotations
@@ -281,7 +281,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"jacobi-walk: error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
+    except (NumericalError, OverflowError, ZeroDivisionError) as exc:
         print(f"jacobi-walk: numerical failure: {exc}", file=sys.stderr)
         return 3
     text = render(columns, rows, args.format)

@@ -250,7 +250,7 @@ def _start_nodes(order: int, a: float, b: float) -> np.ndarray:
         theta[order - ends :] = math.pi - _bessel_zeros(b, ends)[::-1] / np.sqrt(
             rho * rho + (1 - b * b - 3 * a * a) / 12
         )
-    return np.sin(theta / 2) ** 2
+        return np.sin(theta / 2) ** 2
 
 
 def _newton_step(xs, steps):
@@ -469,26 +469,23 @@ def _float_spectral_cells(t: int, rows, cols, params: ModelParams, order: int) -
 
     The float twin of ``_exact_spectral_cells``, on the Gauss rule of the
     given order: one long-double ``_orthonormal_sweep`` tabulates
-    p_n = Q_n / norm(Q_n) at the nodes, the cells are the block
-    (p_rows * w x**t) @ p_cols^T times sqrt(norm_i / norm_j), and
-    norm_n = total_mass / pi_n comes from one pi table, rational whenever
-    the exponents allow it.  Cells with j >> i divide near-cancelled dust by
-    a polynomially small norm; accumulating in extended precision and
-    rounding to double once gains an order of magnitude there.
+    p_n = Q_n / norm(Q_n) at the nodes, and the cells are the block
+    (p_rows * w x**t) @ p_cols^T times sqrt(pi_j / pi_i), read off the float
+    pi table: the weight's mass cancels from norm_n = total_mass / pi_n.
+    Cells with j >> i divide near-cancelled dust by a polynomially small
+    norm; accumulating in np.longdouble and rounding to double once gains
+    an order of magnitude there, where that type is wider than double.
     """
     rows, cols = np.asarray(rows), np.asarray(cols)
     degree = int(max(rows.max(), cols.max()))
-    norm_engine = "exact" if params.is_integral else "float"
-    weight_mass = total_mass(params, norm_engine)
-    pi = invariant_measure_table(degree, params, norm_engine)
-    norms = np.array([float(weight_mass / p) for p in pi], dtype=np.longdouble)
+    pi = np.array(invariant_measure_table(degree, params), dtype=np.longdouble)
     rule = gauss_jacobi_rule(order, params)
     nodes = rule.nodes.astype(np.longdouble)
     diag, off, mass = _symmetrized_recurrence(degree, params)
     with np.errstate(all="ignore"):
         table = np.array(list(_orthonormal_sweep(nodes, diag, off, mass)))
         cells = (table[rows] * (rule.weights.astype(np.longdouble) * nodes**t)) @ table[cols].T
-        return (cells * np.sqrt(norms[rows, None] / norms[None, cols])).astype(float)
+        return (cells * np.sqrt(pi[None, cols] / pi[rows, None])).astype(float)
 
 
 def orthonormality_table(n_max, params: ModelParams, engine: str = "float"):

@@ -1,11 +1,11 @@
 """Shared parameter and error types.
 
 Everything in this package is parametrized by a pair of weight exponents
-(alpha, beta) and an arithmetic engine, either "float" (binary64) or
-"exact" (rational arithmetic via fractions.Fraction).  The exact engine is
-the trusted oracle and only exists for nonnegative integer exponents, where
-every quantity of interest is a rational number; the float engine is the
-production path and accepts any real exponents > -1.
+(alpha, beta) and an arithmetic engine: "float" (binary64, the Gauss
+polish and spectral cells in np.longdouble) or "exact" (fractions.Fraction).
+The exact engine is the trusted oracle, only for nonnegative integer
+exponents, where every quantity of interest is rational; the float engine
+is the production path for any real exponents > -1.
 """
 
 from __future__ import annotations

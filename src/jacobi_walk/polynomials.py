@@ -242,14 +242,16 @@ def poly_product(a, b) -> tuple[Fraction, ...]:
 
 
 def total_mass(params: ModelParams, engine: str = "float"):
-    """Integral of the bare weight over [0, 1] (the Beta function B(a+1, b+1))."""
+    """Integral of the bare weight over [0, 1] (the Beta function B(a+1, b+1)).
+
+    For integer exponents both engines form it as 1 / N, N = (a+b+1) C(a+b, b).
+    """
     check_engine(engine)
-    if engine == "exact":
+    if engine == "exact" or params.is_integral:
         a, b = params.require_integral("engine='exact'")
-        return Fraction(math.factorial(a) * math.factorial(b), math.factorial(a + b + 1))
+        n = (a + b + 1) * math.comb(a + b, b)
+        return Fraction(1, n) if engine == "exact" else 1 / n
     a, b = params.alpha, params.beta
-    if params.is_integral:
-        return float(Fraction(math.factorial(a) * math.factorial(b), math.factorial(a + b + 1)))
     return math.exp(math.lgamma(a + 1) + math.lgamma(b + 1) - math.lgamma(a + b + 2))
 
 
@@ -277,7 +279,7 @@ def invariant_measure_table(n_max, params: ModelParams, engine: str = "float") -
     check_engine(engine)
     if engine == "exact":
         a, b = params.require_integral("engine='exact'")
-        scale = (a + b + 1) * math.comb(a + b, b)
+        scale = total_mass(params, "exact").denominator
         return [
             Fraction((2 * i + a + b + 1) * math.comb(i + b, b) * math.comb(i + a + b, b), scale)
             for i in range(n_max + 1)

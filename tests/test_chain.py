@@ -77,6 +77,15 @@ class TestBandedTransition:
             mass = m.propagate(mass)
         assert sum(mass) == 1  # 10 steps from state 3 cannot reach the edge
 
+    @pytest.mark.parametrize("n", [-1, 5])
+    def test_row_outside_truncation(self, n):
+        with pytest.raises(IndexError, match=f"row {n} outside truncation of size 5"):
+            build_transition(5, ModelParams(1, 1)).row(n)
+
+    def test_propagate_rejects_wrong_length(self):
+        with pytest.raises(ValueError, match="mass vector of length 4 for size 5"):
+            build_transition(5, ModelParams(1, 1)).propagate([1.0, 0.0, 0.0, 0.0])
+
 
 class TestMatrixPower:
     def test_zero_steps_is_identity(self):
@@ -215,6 +224,16 @@ class TestSpectralTransition:
                     assert km == 0.0
                 else:
                     assert abs(km - mp) <= 1e-10, (t, i, j)
+
+    @pytest.mark.parametrize("ab", list(product((0, 3, 6), repeat=2)))
+    def test_float_row_beyond_benchmark_scale(self, ab):
+        # at t = 200 the float row is accurate only in absolute terms: its
+        # worst miss on this grid is 2.8e-10, which the bound pins
+        params = ModelParams(*ab)
+        for i in (0, 20, 50):
+            row = spectral_transition_row(200, i, params, i + 200, "float")
+            banded = matrix_power_row(200, i, i + 200, params, "float")
+            assert max(abs(km - mp) for km, mp in zip(row, banded)) <= 4e-10, i
 
     def test_float_row_unreachable_builds_no_rule(self):
         gauss_jacobi_rule.cache_clear()

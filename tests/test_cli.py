@@ -26,11 +26,12 @@ def run_cli(*argv):
     return code, buffer.getvalue()
 
 
-def run_module(*argv):
+def run_module(*argv, timeout=None):
     """Run ``python -W error -m jacobi_walk`` in a subprocess that imports
     the package from this checkout's src, whatever PYTHONPATH pytest had.
     -W error makes a leaked warning fail the run, as pytest's own
-    filterwarnings does in-process."""
+    filterwarnings does in-process.  Past ``timeout`` seconds the run is
+    killed and subprocess.TimeoutExpired fails the test."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
@@ -38,8 +39,21 @@ def run_module(*argv):
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
+        timeout=timeout,
     )
 
+
+# every float subcommand, run at --alpha 10**20, 10**200 and 10**400
+HUGE_EXPONENT_COMMANDS = [
+    ("coeffs", "--n-max", "3"),
+    ("eval", "--n-max", "2", "--x", "1/2"),
+    ("transition", "--t", "2", "--i", "0", "--j-max", "2"),
+    ("transition", "--method", "km", "--t", "2", "--i", "0", "--j-max", "2"),
+    ("stationary", "--n-max", "3"),
+    ("orthocheck", "--i-max", "2"),
+    ("simulate", "--n0", "0", "--t", "2", "--trajectories", "10", "--seed", "1"),
+    ("quadrule", "--points", "3"),
+]
 
 # float tables that overflow, and the first non-finite cell each reports
 OVERFLOWS = [
@@ -204,6 +218,8 @@ GOLDEN_COMMANDS = {
     "transition": ("transition", "--t", "40", "--i", "5", "--j-max", "50"),
     "eval": ("eval", "--n-max", "60", "--x", "3/7"),
     "quadrule": ("quadrule", "--points", "97"),
+    "km": ("transition", "--method", "km", "--t", "30", "--i", "5", "--j-max", "40"),
+    "orthocheck": ("orthocheck", "--i-max", "12"),
 }
 GOLDEN_DIGESTS = {
     ("coeffs", "float"): "8a109bad81a809a9c0b8d861be59d9d96ff9709cdcd2708c9e0bc554036b21a4",
@@ -215,6 +231,10 @@ GOLDEN_DIGESTS = {
     ("eval", "float"): "7385651b83c68abf8429cfdaa7acbf09a6900159343d859204591bc220676815",
     ("eval", "exact"): "add3c6b1342cc14fd352f84409091750ab806d1e3346b6e177aeafa58230ed7d",
     ("quadrule", "float"): "eaaf460382e475252b9a5142908180bfa8cd0e9bf98e30fd445897d8007c397d",
+    ("km", "float"): "8a919e47f226cb47779517feaba57bd099f34b192776b7c839768da19cc80e8a",
+    ("km", "exact"): "f759a93b8c3577f90047fa37b469120d5b51d6c692f42dac38ce93843594bcc5",
+    ("orthocheck", "float"): "7e779da94987d64bf6f97e8199ffaf5bb86adc80aed5335a34c54db866869029",
+    ("orthocheck", "exact"): "62ebc959bf6ddb073d34050dd5e37c4bd8c5245a054aeec4cd59efcd3d91e77c",
 }
 
 
@@ -365,6 +385,37 @@ class TestExitCodes:
             f"jacobi-walk: numerical failure: Gauss rule of order {order}: "
             "the weight's total mass underflows to 0.0\n"
         )
+
+    @pytest.mark.parametrize("exponent", [20, 200, 400])
+    @pytest.mark.parametrize("argv", HUGE_EXPONENT_COMMANDS, ids=" ".join)
+    def test_huge_exponent_is_no_traceback(self, argv, exponent):
+        # an exponent too large for binary64 fails as a numerical failure
+        result = run_module(*argv, "--alpha", str(10**exponent))
+        assert result.returncode in (0, 3), result.stderr
+        if result.returncode == 3:
+            assert result.stdout == ""
+            assert result.stderr.startswith("jacobi-walk: numerical failure: ")
+            assert result.stderr.count("\n") == 1
+        else:
+            assert result.stderr == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("coeffs", "--n-max", "3"),
+            ("transition", "--method", "km", "--t", "2", "--i", "0", "--j-max", "2"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_exact_engine_takes_huge_exponents(self, argv):
+        result = run_module(*argv, "--alpha", str(10**400), "--engine", "exact")
+        assert result.returncode == 0 and result.stderr == ""
+
+    def test_large_exponent_mass_is_quick(self):
+        # the weight's mass comes from (a+b+1) C(a+b, b), not from factorials
+        # of the exponents, which took far longer than this bound
+        result = run_module("quadrule", "--points", "3", "--alpha", "3000000", timeout=10)
+        assert result.returncode == 0 and len(result.stdout.splitlines()) == 4
 
     def test_parser_built_once(self, monkeypatch, capsys):
         # a failing parse and then a good one behave as with a fresh parser

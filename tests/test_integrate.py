@@ -139,6 +139,11 @@ class TestGaussRule:
         with pytest.raises(ValueError):
             gauss_jacobi_rule(0, ModelParams(0, 0))
 
+    def test_integrate_rejects_values_of_wrong_shape(self):
+        rule = gauss_jacobi_rule(4, ModelParams(1, 1))
+        with pytest.raises(ValueError, match="must match the rule's nodes in shape"):
+            rule.integrate(np.ones(3))
+
     def test_real_parameter_rule(self):
         # Chebyshev-like weight: mass pi, nodes still inside (0,1)
         rule = gauss_jacobi_rule(8, ModelParams(-0.5, -0.5))

@@ -8,6 +8,7 @@ tests cannot drift with the code under test.
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -307,6 +308,15 @@ class TestNormSquared:
         exact = norm_squared(i, params, "exact")
         got = norm_squared(i, params, "float")
         assert abs(got - float(exact)) <= 1e-13 * float(exact)
+
+    def test_mass_is_one_over_an_integer(self):
+        # both engines read B(a+1, b+1) = a! b! / (a+b+1)! from one integer;
+        # the float one rounds it as the factorial Fraction would
+        for a, b in [*product(range(0, 40, 3), repeat=2), (1000, 0), (1000, 1000), (5000, 3)]:
+            factorials = F(math.factorial(a) * math.factorial(b), math.factorial(a + b + 1))
+            params = ModelParams(a, b)
+            assert total_mass(params, "exact") == factorials, (a, b)
+            assert total_mass(params, "float") == float(factorials), (a, b)
 
     def test_real_params_via_gamma(self):
         # a=b=-1/2 (Chebyshev weight on [0,1]): mass = pi
