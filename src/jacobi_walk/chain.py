@@ -188,16 +188,6 @@ def matrix_power_transition(t, i, j, params: ModelParams) -> Fraction:
     return matrix_power_row(t, i, j, params, "exact")[j]
 
 
-def _clamp_probability(value: float, context: str) -> float:
-    if 0.0 <= value <= 1.0:
-        return value
-    if -_CLAMP_SLACK <= value < 0.0:
-        return 0.0
-    if 1.0 < value <= 1.0 + _CLAMP_SLACK:
-        return 1.0
-    raise NumericalError(f"{context}: value {value!r} outside [0, 1] beyond rounding slack")
-
-
 def spectral_transition(t, i, j, params: ModelParams, engine: str = "float"):
     """(P^t)_{ij} via the Karlin-McGregor integral representation.
 
@@ -238,11 +228,15 @@ def spectral_transition_row(t, i, params: ModelParams, j_max, engine: str = "flo
         if exact:
             row[first : reach + 1] = _exact_spectral_cells(t, [i], cols, params)[0]
         else:
-            cells = _float_spectral_cells(t, [i], cols, params, (t + i + reach) // 2 + 1)
-            row[first : reach + 1] = [
-                _clamp_probability(value, f"spectral_transition(t={t}, i={i}, j={j})")
-                for j, value in zip(cols, cells[0].tolist())
-            ]
+            cells = _float_spectral_cells(t, [i], cols, params, (t + i + reach) // 2 + 1)[0]
+            # nan is out of range too; clip keeps -0.0, which lies in [0, 1]
+            bad = np.flatnonzero(~((cells >= -_CLAMP_SLACK) & (cells <= 1.0 + _CLAMP_SLACK)))
+            if bad.size:
+                raise NumericalError(
+                    f"spectral_transition(t={t}, i={i}, j={first + bad[0]}): value "
+                    f"{float(cells[bad[0]])!r} outside [0, 1] beyond rounding slack"
+                )
+            row[first : reach + 1] = np.clip(cells, 0.0, 1.0).tolist()
     return row
 
 

@@ -10,8 +10,9 @@ array of row objects keyed by the column names.
 Exit codes: 0 success, 2 argument error (message names the offending
 flag; an unwritable --output counts as one), 3 numerical failure (e.g. a
 Gauss rule whose weight's total mass underflows to 0.0 or whose nodes fail
-the root-count check, an inf or nan float cell, which is never printed,
-or an exponent too large for the arithmetic).
+the root-count check, an inf or nan float cell, which is never printed
+and is named by the first such cell in row order, or an exponent too large
+for the arithmetic).
 """
 
 from __future__ import annotations
@@ -20,10 +21,12 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from fractions import Fraction
 from functools import cache
+from itertools import zip_longest
+
+import numpy as np
 
 from .chain import matrix_power_row, spectral_transition_row, stationarity_residuals
 from .integrate import gauss_jacobi_rule, orthonormality_table
@@ -172,102 +175,98 @@ def _require_float_engine(args, context: str) -> None:
         raise UsageError(f"--engine exact is not available for {context}; drop the flag")
 
 
-def cmd_coeffs(args, params: ModelParams) -> tuple[list[str], list[list]]:
+def cmd_coeffs(args, params: ModelParams) -> dict:
     up, stay, down = _step_table(args.n_max, params, args.engine)
     # the sum adds up + stay + down in the order of StepCoefficients.total
-    table = zip(range(args.n_max + 1), *(c.tolist() for c in (up, stay, down, up + stay + down)))
-    return ["n", "up", "stay", "down", "sum"], [list(row) for row in table]
+    return {"n": range(up.size), "up": up, "stay": stay, "down": down, "sum": up + stay + down}
 
 
-def cmd_eval(args, params: ModelParams) -> tuple[list[str], list[list]]:
+def cmd_eval(args, params: ModelParams) -> dict:
     try:
         x = Fraction(args.x)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"--x must be a number or fraction, got {args.x!r}") from None
     if not 0 <= x <= 1:
         raise UsageError(f"--x must lie in [0, 1], got {args.x}")
-    values = _poly_sweep(args.n_max, x, params, args.engine)
-    return ["n", "value"], [[n, v] for n, v in enumerate(values)]
+    values = list(_poly_sweep(args.n_max, x, params, args.engine))
+    return {"n": range(args.n_max + 1), "value": values}
 
 
-def cmd_transition(args, params: ModelParams) -> tuple[list[str], list[list]]:
+def _ensemble(args, params: ModelParams, start: int, context: str, states=None) -> tuple:
+    """Urn-ensemble hit counts of states 0..states-1 (default: every state the
+    walk reaches), zero past its reach, and their binomial estimates."""
+    _require_float_engine(args, context)
+    counts = terminal_state_counts(
+        start, args.t, params, args.trajectories, args.seed, threads=args.threads
+    )
+    hits = np.zeros(states or counts.size, dtype=counts.dtype)
+    hits[: counts.size] = counts[: hits.size]
+    return hits, *binomial_estimate(hits, args.trajectories)
+
+
+def cmd_transition(args, params: ModelParams) -> dict:
+    states = range(args.j_max + 1)
     if args.method in ("km", "matrix"):
         if args.method == "km":
             row = spectral_transition_row(args.t, args.i, params, args.j_max, args.engine)
         else:
             row = matrix_power_row(args.t, args.i, args.j_max, params, args.engine)
-        return ["j", "probability"], [[j, p] for j, p in enumerate(row)]
+        return {"j": states, "probability": row}
     if args.trajectories is None or args.seed is None:
         raise UsageError("--method mc requires --trajectories and --seed")
-    _require_float_engine(args, "--method mc")
-    counts = terminal_state_counts(
-        args.i, args.t, params, args.trajectories, args.seed, threads=args.threads
-    )
-    rows = []
-    for j in range(args.j_max + 1):
-        hits = int(counts[j]) if j < counts.size else 0
-        rows.append([j, *binomial_estimate(hits, args.trajectories)])
-    return ["j", "probability", "stderr"], rows
+    _, estimate, stderr = _ensemble(args, params, args.i, "--method mc", len(states))
+    return {"j": states, "probability": estimate, "stderr": stderr}
 
 
-def cmd_stationary(args, params: ModelParams) -> tuple[list[str], list[list]]:
+def cmd_stationary(args, params: ModelParams) -> dict:
     pi, residuals = stationarity_residuals(args.n_max + 1, params, args.engine)
-    residuals.append(None)  # would need pi beyond the table
-    return ["i", "pi", "residual"], [[n, p, r] for n, (p, r) in enumerate(zip(pi, residuals))]
+    return {"i": range(args.n_max + 1), "pi": pi, "residual": residuals}
 
 
-def cmd_orthocheck(args, params: ModelParams) -> tuple[list[str], list[list]]:
+def cmd_orthocheck(args, params: ModelParams) -> dict:
     table = orthonormality_table(args.i_max, params, args.engine)
-    if args.engine == "float":
-        table = table.tolist()
-    rows = [[i, j, value] for i, row in enumerate(table) for j, value in enumerate(row)]
-    return ["i", "j", "value"], rows
+    i, j = np.divmod(np.arange((args.i_max + 1) ** 2), args.i_max + 1)
+    return {"i": i, "j": j, "value": np.ravel(table)}
 
 
-def cmd_simulate(args, params: ModelParams) -> tuple[list[str], list[list]]:
-    _require_float_engine(args, "simulate")
-    counts = terminal_state_counts(
-        args.n0, args.t, params, args.trajectories, args.seed, threads=args.threads
-    )
-    rows = []
-    for state, count in enumerate(counts):
-        rows.append([state, int(count), *binomial_estimate(int(count), args.trajectories)])
-    return ["state", "count", "estimate", "stderr"], rows
+def cmd_simulate(args, params: ModelParams) -> dict:
+    hits, estimate, stderr = _ensemble(args, params, args.n0, "simulate")
+    return {"state": range(hits.size), "count": hits, "estimate": estimate, "stderr": stderr}
 
 
-def cmd_quadrule(args, params: ModelParams) -> tuple[list[str], list[list]]:
+def cmd_quadrule(args, params: ModelParams) -> dict:
     _require_float_engine(args, "quadrule")
     rule = gauss_jacobi_rule(args.points, params)
-    rows = [
-        [k, float(x), float(w)] for k, (x, w) in enumerate(zip(rule.nodes, rule.weights))
-    ]
-    return ["index", "node", "weight"], rows
+    return {"index": range(args.points), "node": rule.nodes, "weight": rule.weights}
 
 
-def _check_finite(columns: list[str], rows: list[list]) -> None:
-    """Raise NumericalError naming the first inf or nan float cell."""
-    for row in rows:
-        for k, value in enumerate(row):
-            if isinstance(value, float) and not math.isfinite(value):
-                raise NumericalError(f"{columns[k]} is {value!r} at {columns[0]}={row[0]}")
+def _check_finite(columns: dict) -> None:
+    """Raise NumericalError naming a float table's first inf or nan cell in row order."""
+    bad = {}
+    for name, column in columns.items():
+        finite = np.isfinite(np.asarray(column, dtype=float))
+        if not finite.all():
+            bad[name] = finite.argmin()
+    if bad:
+        name = min(bad, key=bad.get)  # of equal rows, min keeps the leftmost column
+        key, row = next(iter(columns)), bad[name]
+        value = float(columns[name][row])
+        raise NumericalError(f"{name} is {value!r} at {key}={columns[key][row]}")
 
 
-def _cell_json(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    return value
-
-
-def render(columns: list[str], rows: list[list], fmt: str) -> str:
+def render(columns: dict, fmt: str) -> str:
+    # tolist yields plain ints and floats; zip_longest fills a short column
+    # with None, which CSV prints empty and JSON as null
+    rows = zip_longest(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()))
     if fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(columns)
-        # the writer prints None as empty, floats via repr, the rest via str
+        # the writer prints floats via repr, the rest via str
         writer.writerows(rows)
         return buffer.getvalue()
-    records = [dict(zip(columns, (_cell_json(v) for v in row))) for row in rows]
-    return json.dumps(records, indent=2) + "\n"
+    # default=str prints a Fraction as "p/q"
+    return json.dumps([dict(zip(columns, row)) for row in rows], indent=2, default=str) + "\n"
 
 
 def main(argv=None) -> int:
@@ -276,15 +275,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        columns, rows = args.run(args, ModelParams(args.alpha, args.beta))
-        _check_finite(columns, rows)
+        columns = args.run(args, ModelParams(args.alpha, args.beta))
+        if args.engine == "float":  # exact tables hold only Fractions and integers
+            _check_finite(columns)
     except UsageError as exc:
         print(f"jacobi-walk: error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, OverflowError, ZeroDivisionError) as exc:
         print(f"jacobi-walk: numerical failure: {exc}", file=sys.stderr)
         return 3
-    text = render(columns, rows, args.format)
+    text = render(columns, args.format)
     if args.output == "-":
         sys.stdout.write(text)
         return 0

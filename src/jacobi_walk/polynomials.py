@@ -245,10 +245,16 @@ def total_mass(params: ModelParams, engine: str = "float"):
     """Integral of the bare weight over [0, 1] (the Beta function B(a+1, b+1)).
 
     For integer exponents both engines form it as 1 / N, N = (a+b+1) C(a+b, b).
+    The float one returns 0.0, as 1 / N would, without forming N where its
+    lower bound ((a+b)/k)^k, k = min(a, b), exceeds 2^1076: 1 / N rounds to
+    0.0 from N = 2^1075 on, and the factor 2 covers the logarithms' rounding.
     """
     check_engine(engine)
     if engine == "exact" or params.is_integral:
         a, b = params.require_integral("engine='exact'")
+        k = min(a, b)
+        if engine == "float" and k and k * (math.log(a + b) - math.log(k)) > 1076 * math.log(2):
+            return 0.0
         n = (a + b + 1) * math.comb(a + b, b)
         return Fraction(1, n) if engine == "exact" else 1 / n
     a, b = params.alpha, params.beta

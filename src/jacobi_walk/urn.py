@@ -47,7 +47,6 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
 from typing import Literal
 
 import numpy as np
@@ -280,10 +279,10 @@ class TransitionEstimate:
     target: int
 
 
-def binomial_estimate(hits, trajectories) -> tuple[float, float]:
-    """Empirical frequency hits / trajectories and its binomial standard error."""
+def binomial_estimate(hits, trajectories) -> tuple:
+    """Empirical frequency hits / trajectories and its binomial standard error, elementwise."""
     p = hits / trajectories
-    return p, sqrt(p * (1.0 - p) / trajectories)
+    return p, np.sqrt(p * (1.0 - p) / trajectories)
 
 
 def estimate_transition(
@@ -297,7 +296,7 @@ def estimate_transition(
     return TransitionEstimate(
         estimate=p,
         trajectories=trajectories,
-        standard_error=stderr,
+        standard_error=float(stderr),
         start=n0,
         steps=t,
         target=j,

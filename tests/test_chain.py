@@ -8,6 +8,7 @@ absolute error.  t-step values marked "hand" come from path enumeration.
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -25,7 +26,7 @@ from jacobi_walk import (
     stationarity_residual,
     step_coefficients,
 )
-from jacobi_walk.chain import _clamp_probability
+import jacobi_walk.chain as chain_module
 
 F = Fraction
 
@@ -264,14 +265,23 @@ class TestSpectralTransition:
         )
         assert forward == backward
 
-    def test_clamp_policy(self):
-        assert _clamp_probability(-1e-12, "t") == 0.0
-        assert _clamp_probability(1.0 + 1e-12, "t") == 1.0
-        assert _clamp_probability(0.25, "t") == 0.25
-        with pytest.raises(NumericalError):
-            _clamp_probability(-1e-6, "t")
-        with pytest.raises(NumericalError):
-            _clamp_probability(1.0 + 1e-6, "t")
+    def test_clamp_policy(self, monkeypatch):
+        # a float km row clamps rounding dust within 1e-9 of [0, 1] and
+        # raises further out, naming the cell; cells 2 and 3 are unreachable
+        def row_with(value):
+            monkeypatch.setattr(
+                chain_module,
+                "_float_spectral_cells",
+                lambda t, rows, cols, params, order: np.array([[0.5, value]]),
+            )
+            return spectral_transition_row(1, 0, ModelParams(0, 0), 3, "float")
+
+        clamped = [(-1e-12, "0.0"), (1.0 + 1e-12, "1.0"), (0.25, "0.25"), (-0.0, "-0.0")]
+        for value, printed in clamped:
+            assert [repr(p) for p in row_with(value)] == ["0.5", printed, "0.0", "0.0"]
+        for value in (-1e-6, 1.0 + 1e-6, float("nan")):
+            with pytest.raises(NumericalError, match=r"^spectral_transition\(t=1, i=0, j=1\): "):
+                row_with(value)
 
     def test_exact_mode_rejects_fractional_params(self):
         with pytest.raises(ValueError):

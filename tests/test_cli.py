@@ -209,9 +209,10 @@ class TestGoldenOutputs:
 
 
 # sha256 of the stdout of each command at (alpha, beta) = (0, 0), (3, 5)
-# and (6, 1), concatenated in that order.  They pin every byte the tables
-# print, so a change in how the one-step law is tabulated, swept or summed
-# fails here even where it stays within the tests' tolerances.
+# and (6, 1), concatenated in that order, in each output format.  They pin
+# every byte the tables print, so a change in how the one-step law is
+# tabulated, swept, summed or rendered fails here even where it stays within
+# the tests' tolerances.
 GOLDEN_COMMANDS = {
     "coeffs": ("coeffs", "--n-max", "300"),
     "stationary": ("stationary", "--n-max", "400"),
@@ -222,32 +223,100 @@ GOLDEN_COMMANDS = {
     "orthocheck": ("orthocheck", "--i-max", "12"),
 }
 GOLDEN_DIGESTS = {
-    ("coeffs", "float"): "8a109bad81a809a9c0b8d861be59d9d96ff9709cdcd2708c9e0bc554036b21a4",
-    ("coeffs", "exact"): "63ac51c7076e56083cd9c96353fea20be984433525ee8898046c44c884ff1cf5",
-    ("stationary", "float"): "e9c2b932a33581b6e4c926ea111e86836f104f59c5cf214c3edac9eacd5c74bb",
-    ("stationary", "exact"): "8829343b7285b00ac2e5a91a771531ec9f01a591708e886f883065abcbbe89f4",
-    ("transition", "float"): "cdef7b994ec23764cf0f9571bcd7f8d69f46317ae85be65c64cf4ac4fb2e1d9b",
-    ("transition", "exact"): "3cb37056e0d55bf7e3a85df6c194f88be45845fcf9573124bce5673c3c29ac28",
-    ("eval", "float"): "7385651b83c68abf8429cfdaa7acbf09a6900159343d859204591bc220676815",
-    ("eval", "exact"): "add3c6b1342cc14fd352f84409091750ab806d1e3346b6e177aeafa58230ed7d",
-    ("quadrule", "float"): "eaaf460382e475252b9a5142908180bfa8cd0e9bf98e30fd445897d8007c397d",
-    ("km", "float"): "8a919e47f226cb47779517feaba57bd099f34b192776b7c839768da19cc80e8a",
-    ("km", "exact"): "f759a93b8c3577f90047fa37b469120d5b51d6c692f42dac38ce93843594bcc5",
-    ("orthocheck", "float"): "7e779da94987d64bf6f97e8199ffaf5bb86adc80aed5335a34c54db866869029",
-    ("orthocheck", "exact"): "62ebc959bf6ddb073d34050dd5e37c4bd8c5245a054aeec4cd59efcd3d91e77c",
+    ("coeffs", "float"): {
+        "csv": "8a109bad81a809a9c0b8d861be59d9d96ff9709cdcd2708c9e0bc554036b21a4",
+        "json": "152789be185fa01a059d4a5c19553e768b3ff596f0e5170a590f4a52387bf472",
+    },
+    ("coeffs", "exact"): {
+        "csv": "63ac51c7076e56083cd9c96353fea20be984433525ee8898046c44c884ff1cf5",
+        "json": "3ddac753695c8ed66c5137f82c4d762ac0832185818531bbca5d5859afc21b6b",
+    },
+    ("stationary", "float"): {
+        "csv": "e9c2b932a33581b6e4c926ea111e86836f104f59c5cf214c3edac9eacd5c74bb",
+        "json": "1c1a4d688427ba40ed5398552706c5c5565ab93eeae9cd5cdfbe60b24dcb86c1",
+    },
+    ("stationary", "exact"): {
+        "csv": "8829343b7285b00ac2e5a91a771531ec9f01a591708e886f883065abcbbe89f4",
+        "json": "77e5d0993d8c0bc15bbc5f6c1ebfd49fd101bd8f4d6e896b8399040fef4c2b03",
+    },
+    ("transition", "float"): {
+        "csv": "cdef7b994ec23764cf0f9571bcd7f8d69f46317ae85be65c64cf4ac4fb2e1d9b",
+        "json": "e5f1d3a49433764454a96f4507d2fd13c6852882997e7f2d537c278eb3475824",
+    },
+    ("transition", "exact"): {
+        "csv": "3cb37056e0d55bf7e3a85df6c194f88be45845fcf9573124bce5673c3c29ac28",
+        "json": "ed824e563f0a2931f22fa75b20b47cce64f5eef7cd02908f3894a5115cef80f6",
+    },
+    ("eval", "float"): {
+        "csv": "7385651b83c68abf8429cfdaa7acbf09a6900159343d859204591bc220676815",
+        "json": "244c944093270d5654f9628a45f5d648b7367935bf4525add7b047a6402f368c",
+    },
+    ("eval", "exact"): {
+        "csv": "add3c6b1342cc14fd352f84409091750ab806d1e3346b6e177aeafa58230ed7d",
+        "json": "5a6a388e26d09bbe52ec9d917aad83bf13308e1175a46df03c231c1ac0100ade",
+    },
+    ("quadrule", "float"): {
+        "csv": "eaaf460382e475252b9a5142908180bfa8cd0e9bf98e30fd445897d8007c397d",
+        "json": "66ccb16ae18cfeb8459d0e063b0606235c4c57c0209321a14cc1e07292bf61df",
+    },
+    ("km", "float"): {
+        "csv": "8a919e47f226cb47779517feaba57bd099f34b192776b7c839768da19cc80e8a",
+        "json": "2d7a0aac9b5940789e7ef3213672bfda9dc6b0b3ce189bcca153856856f5e4a9",
+    },
+    ("km", "exact"): {
+        "csv": "f759a93b8c3577f90047fa37b469120d5b51d6c692f42dac38ce93843594bcc5",
+        "json": "b171c31d76c68d9d2b990c47f1d5531a845194b09b651b1b1b683d23d15b666e",
+    },
+    ("orthocheck", "float"): {
+        "csv": "7e779da94987d64bf6f97e8199ffaf5bb86adc80aed5335a34c54db866869029",
+        "json": "206f05eddf11a2025def6d051e609a967098e05505c31a0c2b26fbe9645eb84c",
+    },
+    ("orthocheck", "exact"): {
+        "csv": "62ebc959bf6ddb073d34050dd5e37c4bd8c5245a054aeec4cd59efcd3d91e77c",
+        "json": "ba663c6ab2b2c06a3b52e21b7f09d4238e8487b4d165586da234afb4bb527c67",
+    },
 }
 
 
 @pytest.mark.parametrize("command, engine", list(GOLDEN_DIGESTS))
 def test_golden_digest(command, engine):
-    h = hashlib.sha256()
-    for a, b in ((0, 0), (3, 5), (6, 1)):
-        code, text = run_cli(
-            *GOLDEN_COMMANDS[command], "--alpha", str(a), "--beta", str(b), "--engine", engine
-        )
-        assert code == 0
-        h.update(text.encode())
-    assert h.hexdigest() == GOLDEN_DIGESTS[command, engine]
+    for fmt, digest in GOLDEN_DIGESTS[command, engine].items():
+        h = hashlib.sha256()
+        for a, b in ((0, 0), (3, 5), (6, 1)):
+            code, text = run_cli(
+                *GOLDEN_COMMANDS[command], "--alpha", str(a), "--beta", str(b),
+                "--engine", engine, "--format", fmt,
+            )
+            assert code == 0
+            h.update(text.encode())
+        assert h.hexdigest() == digest, fmt
+
+
+# sha256 of the CSV stdout of Monte Carlo runs at (alpha, beta) = (1, 2) and
+# seed 31; 300000 trajectories are two chunks, so --threads 2 runs the pool.
+# From n0 = 2, t = 6 steps reach states 0..8: the first transition row stops
+# inside that range, the second pads states 9..40 with 0.0,0.0 rows.
+MC_COMMANDS = {
+    "simulate": ("simulate", "--n0", "2"),
+    "mc-within-reach": ("transition", "--method", "mc", "--i", "2", "--j-max", "4"),
+    "mc-past-reach": ("transition", "--method", "mc", "--i", "2", "--j-max", "40"),
+}
+MC_DIGESTS = {
+    "simulate": "0cabcf1aac1693e7dee4c12932af785add7a38ec989a4b3494301706bdeca399",
+    "mc-within-reach": "3fa7d2c88d27298f35c9384bc9ca644db2b4a4f8041f23a3265fdfbc34ca115d",
+    "mc-past-reach": "55aa1ed93b62134a30503763575f586e603858c86b8adc7866d8eca1ea721aec",
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("command", list(MC_DIGESTS))
+def test_monte_carlo_digest(command, threads):
+    code, text = run_cli(
+        *MC_COMMANDS[command], "--t", "6", "--trajectories", "300000", "--seed", "31",
+        "--alpha", "1", "--beta", "2", "--threads", threads,
+    )
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == MC_DIGESTS[command]
 
 
 class TestFormatParity:
@@ -416,6 +485,18 @@ class TestExitCodes:
         # of the exponents, which took far longer than this bound
         result = run_module("quadrule", "--points", "3", "--alpha", "3000000", timeout=10)
         assert result.returncode == 0 and len(result.stdout.splitlines()) == 4
+
+    def test_underflowing_mass_is_quick(self):
+        # B(10^6 + 1, 10^6 + 1) lies far below the doubles, so the float mass
+        # is 0.0 without forming N = (a+b+1) C(a+b, b), a 600,000-digit
+        # integer that took far longer than this bound
+        argv = ("quadrule", "--points", "3", "--alpha", "1000000", "--beta", "1000000")
+        result = run_module(*argv, timeout=10)
+        assert result.returncode == 3 and result.stdout == ""
+        assert result.stderr == (
+            "jacobi-walk: numerical failure: Gauss rule of order 3: "
+            "the weight's total mass underflows to 0.0\n"
+        )
 
     def test_parser_built_once(self, monkeypatch, capsys):
         # a failing parse and then a good one behave as with a fresh parser

@@ -318,6 +318,16 @@ class TestNormSquared:
             assert total_mass(params, "exact") == factorials, (a, b)
             assert total_mass(params, "float") == float(factorials), (a, b)
 
+    def test_float_mass_skips_n_only_where_it_underflows(self):
+        # on the diagonal 1 / N turns subnormal near a = b = 515, rounds to
+        # 0.0 near 540, and the shortcut that skips N first fires near 1080;
+        # on both sides of each the float mass must be 1 / N bit for bit
+        pairs = [(a, a + d) for a in range(500, 1300, 7) for d in (0, 1, 50)]
+        for a, b in [*pairs, (40000, 300), (300, 40000), (10**20, 1), (10**400, 0), (10**400, 1)]:
+            n = (a + b + 1) * math.comb(a + b, b)
+            assert total_mass(ModelParams(a, b), "float") == 1 / n, (a, b)
+        assert total_mass(ModelParams(10**6, 10**6), "float") == 0.0
+
     def test_real_params_via_gamma(self):
         # a=b=-1/2 (Chebyshev weight on [0,1]): mass = pi
         assert total_mass(ModelParams(-0.5, -0.5), "float") == pytest.approx(np.pi, rel=1e-14)
