@@ -25,22 +25,22 @@ probabilities (P^t)_{ij} live here:
   up to rounding.  In exact mode the cells come from the closed-form
   monomial coefficients and the normalized moments, in integers.
 
-Banded propagation runs one step body on ndarrays for both engines:
-float64 for the float engine, dtype object holding integers for the exact
-one (the bands over one common denominator, see ``matrix_power_row``).
-Each state's new mass adds the same products in the same order as a plain
-loop over states would, so neither engine's results depend on the
-vectorization.  ``BandedTransition.propagate`` and the exact
-``stationarity_residuals`` run the same step on Fractions.
+Banded propagation runs one step body on the bands over one common
+denominator D: float64 with D = 1, or for the exact engine the integers
+the law's numerators become over the lcm D of its denominators, so no
+Fraction is formed before a printed cell.  Each state's new mass adds the
+same products in the same order as a plain loop over states would, so
+neither engine's results depend on the vectorization.
+``BandedTransition.propagate`` runs it on Fractions, independently.
 
 ``stationarity_residuals`` checks the fixed-point identity pi P = pi for
 the pi_0-normalized invariant measure state by state, forming pi P with
-the same banded step on the bands of ``build_transition``, and
-``stationarity_residual`` reports the worst state.  pi is a measure, not a
-distribution: its total mass diverges, so no probability normalization
-exists and none is attempted.  Residuals are reported relative to the
-local component pi_i, since pi_i grows polynomially in i and an absolute
-residual would be dominated by the largest retained component's rounding.
+the same banded step on the same bands, and ``stationarity_residual``
+reports the worst state.  pi is a measure, not a distribution: its total
+mass diverges, so no probability normalization exists and none is
+attempted.  Residuals are reported relative to the local component pi_i,
+since pi_i grows polynomially in i and an absolute residual would be
+dominated by the largest retained component's rounding.
 """
 
 from __future__ import annotations
@@ -54,7 +54,8 @@ import numpy as np
 from .model import ModelParams, NumericalError, check_engine, check_int
 from .polynomials import (
     StepCoefficients,
-    _common_denominator,
+    _invariant_numerators,
+    _law_table,
     _step_table,
     invariant_measure_table,
 )
@@ -108,17 +109,13 @@ class BandedTransition:
             down=self.sub[n - 1] if n > 0 else zero,
         )
 
-    def _bands(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(diag, sup, sub) as ndarrays: float64, or dtype object of Fractions."""
-        dtype = object if self.engine == "exact" else float
-        return tuple(np.array(band, dtype=dtype) for band in (self.diag, self.sup, self.sub))
-
     def propagate(self, mass) -> list:
         """One walk step applied to a row vector of state masses."""
         if len(mass) != self.size:
             raise ValueError(f"mass vector of length {len(mass)} for size {self.size}")
-        diag, sup, sub = self._bands()
-        return _banded_step(np.array(mass, dtype=diag.dtype), diag, sup, sub).tolist()
+        dtype = object if self.engine == "exact" else float
+        bands = (np.array(band, dtype=dtype) for band in (self.diag, self.sup, self.sub))
+        return _banded_step(np.array(mass, dtype=dtype), *bands).tolist()
 
 
 def _banded_step(mass: np.ndarray, diag, sup, sub) -> np.ndarray:
@@ -148,21 +145,32 @@ def build_transition(N, params: ModelParams, engine: str = "float") -> BandedTra
     )
 
 
+def _scaled_bands(N: int, params: ModelParams, engine: str) -> tuple:
+    """(diag, sup, sub) on N states as numerators over one denominator D, and D (1 in float)."""
+    if engine == "exact":
+        law = _law_table(N - 1, params, engine)
+        den = math.lcm(*map(math.lcm, *(dens for _, dens in law)))  # small lcms first
+        up, stay, down = (nums * (den // dens) for nums, dens in law)
+    else:
+        (up, stay, down), den = _step_table(N - 1, params, engine), 1
+    return (stay, up[:-1], down[1:]), den
+
+
 def matrix_power_row(t, i, j_max, params: ModelParams, engine: str = "exact") -> list:
     """Row i of P^t, entries j = 0..j_max, by repeated banded products.
 
     Exact by the truncation argument in the module docstring; the float
     variant runs the same recursion in binary64.  The exact variant runs on
-    integers: every band entry is scaled to an integer over one common
-    denominator D, so after each step the row is an integer vector m over a
-    scale that has gained a factor D.  Cancelling the gcd of the scale and
-    all of m after every step keeps the integers near the size of the
-    row's reduced denominators; the row is m_j / scale.
+    the integer bands of ``_scaled_bands`` over one common denominator D,
+    so after each step the row is an integer vector m over a scale that has
+    gained a factor D.  Cancelling the gcd of the scale and all of m after
+    every step keeps the integers near the size of the row's reduced
+    denominators; the row is m_j / scale.
     """
     t = check_int(t, "t")
     i = check_int(i, "i")
     j_max = check_int(j_max, "j_max")
-    bands = build_transition(max(i, j_max) + t + 1, params, engine)._bands()
+    bands, den = _scaled_bands(max(i, j_max) + t + 1, params, engine)
     mass = np.zeros(bands[0].size, dtype=bands[0].dtype)
     mass[i] = 1
     if engine == "float":
@@ -170,8 +178,6 @@ def matrix_power_row(t, i, j_max, params: ModelParams, engine: str = "exact") ->
             mass = _banded_step(mass, *bands)
         # tolist yields plain floats, never np.float64
         return mass[: j_max + 1].tolist()
-    nums, den = _common_denominator(np.concatenate(bands))
-    bands = np.split(np.array(nums, dtype=object), np.cumsum([band.size for band in bands[:-1]]))
     scale = 1
     for _ in range(t):
         mass = _banded_step(mass, *bands)
@@ -246,17 +252,23 @@ def stationarity_residuals(N, params: ModelParams, engine: str = "float") -> tup
     Residual n is |(pi P)_n - pi_n| / pi_n for n = 0..N-2, where pi P is
     one banded step of pi on the truncation to N states (the component N-1
     would need pi_N and is excluded, so there is one residual fewer than pi
-    entries).
+    entries).  Exact mode steps pi's integer numerators p_n over the integer
+    bands: residual n is |flow_n - D p_n| / (D p_n), or one shared zero.
     """
     N = check_int(N, "N", 2)
-    check_engine(engine)
-    pi = invariant_measure_table(N - 1, params, engine)
-    diag, sup, sub = build_transition(N, params, engine)._bands()
-    measure = np.array(pi, dtype=diag.dtype)
+    if check_engine(engine) == "exact":
+        nums, scale = _invariant_numerators(N - 1, params)
+        pi, measure = [Fraction(p, scale) for p in nums], np.array(nums, dtype=object)
+        zero = Fraction(0)  # shared by every zero residual
+        divide = np.frompyfunc(lambda e, d: Fraction(e, d) if e else zero, 2, 1)
+    else:
+        pi = invariant_measure_table(N - 1, params, engine)
+        measure, divide = np.array(pi), np.true_divide
+    bands, den = _scaled_bands(N, params, engine)
     # a float overflow leaves inf or nan for the caller to check
     with np.errstate(all="ignore"):
-        flow = _banded_step(measure, diag, sup, sub)[:-1]
-        residuals = abs(flow - measure[:-1]) / measure[:-1]
+        scaled = den * measure[:-1]
+        residuals = divide(abs(_banded_step(measure, *bands)[:-1] - scaled), scaled)
     # tolist yields plain floats or the Fractions themselves
     return pi, residuals.tolist()
 

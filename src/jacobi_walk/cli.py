@@ -31,7 +31,7 @@ import numpy as np
 from .chain import matrix_power_row, spectral_transition_row, stationarity_residuals
 from .integrate import gauss_jacobi_rule, orthonormality_table
 from .model import ModelParams, NumericalError, check_int
-from .polynomials import _poly_sweep, _step_table
+from .polynomials import _law_table, _poly_sweep, _step_table
 from .urn import binomial_estimate, terminal_state_counts
 
 __all__ = ["main"]
@@ -176,9 +176,15 @@ def _require_float_engine(args, context: str) -> None:
 
 
 def cmd_coeffs(args, params: ModelParams) -> dict:
-    up, stay, down = _step_table(args.n_max, params, args.engine)
-    # the sum adds up + stay + down in the order of StepCoefficients.total
-    return {"n": range(up.size), "up": up, "stay": stay, "down": down, "sum": up + stay + down}
+    if args.engine == "exact":
+        (nu, du), (ns, ds), (nd, dd) = law = _law_table(args.n_max, params, "exact")
+        # the sum in integers over the product of the three denominators
+        law += ((nu * ds * dd + ns * du * dd + nd * du * ds, du * ds * dd),)
+        up, stay, down, total = (np.frompyfunc(Fraction, 2, 1)(*pair) for pair in law)
+    else:  # the float sum adds up + stay + down in the order of StepCoefficients.total
+        up, stay, down = _step_table(args.n_max, params, "float")
+        total = up + stay + down
+    return {"n": range(up.size), "up": up, "stay": stay, "down": down, "sum": total}
 
 
 def cmd_eval(args, params: ModelParams) -> dict:

@@ -64,6 +64,7 @@ from .model import ModelParams, NumericalError, check_engine, check_int
 from .polynomials import (
     _coefficient_numerators,
     _common_denominator,
+    _invariant_numerators,
     _rising,
     _step_table,
     _three_term_sweep,
@@ -159,7 +160,7 @@ def _exact_spectral_cells(t: int, rows, cols, params: ModelParams) -> list[list[
     degree = max(cols)
     tops, bottom = _normalized_moments(t + max(rows) + degree, a, b)
     poly = {n: _coefficient_numerators(n, a, b) for n in {*rows, *cols}}
-    pi = invariant_measure_table(degree, params, "exact")
+    pi, scale = _invariant_numerators(degree, params)
     table = []
     for i in rows:
         nums_i, den_i = poly[i]
@@ -169,8 +170,8 @@ def _exact_spectral_cells(t: int, rows, cols, params: ModelParams) -> list[list[
         table.append(
             [
                 Fraction(
-                    pi[j].numerator * sum(map(operator.mul, poly[j][0], shifted)),
-                    pi[j].denominator * den_i * poly[j][1] * bottom,
+                    pi[j] * sum(map(operator.mul, poly[j][0], shifted)),
+                    scale * den_i * poly[j][1] * bottom,
                 )
                 for j in cols
             ]

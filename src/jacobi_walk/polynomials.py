@@ -12,10 +12,10 @@ of a birth-and-death walk on the nonnegative integers: down_n is the
 probability of moving from n to n-1, stay_n of staying, up_n of moving to
 n+1.  down_0 = 0, so the walk never leaves the state space.
 
-The law's numerators and denominators are written once, in ``_law_terms``.
-``step_coefficients`` evaluates them at one state and ``_step_table`` over
-an array of states, which every other module slices: integers divided
-with Fraction for the exact engine, binary64 throughout for the float one.
+The law's numerators and denominators are written once, in ``_law_terms``,
+and tabulated over states by ``_law_table``; ``step_coefficients`` divides
+them at one state and ``_step_table`` over the table, which the modules
+slice: with Fraction for the exact engine, binary64 for the float one.
 """
 
 from __future__ import annotations
@@ -105,20 +105,24 @@ def step_coefficients(n, params: ModelParams, engine: str = "float") -> StepCoef
     return StepCoefficients(n=n, up=up, stay=stay, down=down)
 
 
-def _step_table(n_max, params: ModelParams, engine: str) -> tuple:
-    """(up, stay, down) at states 0..n_max: float64 ndarrays, or dtype object of Fractions.
+def _law_table(n_max, params: ModelParams, engine: str) -> tuple:
+    """(numerators, denominators) of up, stay and down at states 0..n_max.
 
-    ``_law_terms`` runs once over the array of states.  Huge exponents leave
-    inf or nan, silently as in the scalar's Python floats, for callers to check.
+    ``_law_terms`` over the array of states: integers (exact) or float64.  Huge
+    exponents leave inf or nan, silently as in the scalar's Python floats.
     """
     n_max = check_int(n_max, "n_max")
-    if engine == "exact":
-        states, divide = np.arange(1, n_max + 1, dtype=object), np.frompyfunc(Fraction, 2, 1)
-    else:
-        states, divide = np.arange(1.0, n_max + 1), np.true_divide
+    states = np.arange(1, n_max + 1, dtype=object if engine == "exact" else float)
     with np.errstate(over="ignore", invalid="ignore"):
         pairs = zip(_law_terms(0, params, engine), _law_terms(states, params, engine))
-        return tuple(np.concatenate(([divide(*zero)], divide(*terms))) for zero, terms in pairs)
+        return tuple(tuple(np.concatenate(([z], s)) for z, s in zip(*pair)) for pair in pairs)
+
+
+def _step_table(n_max, params: ModelParams, engine: str) -> tuple:
+    """(up, stay, down) at states 0..n_max: ``_law_table`` divided, float64 or Fractions."""
+    divide = np.frompyfunc(Fraction, 2, 1) if engine == "exact" else np.true_divide
+    with np.errstate(over="ignore", invalid="ignore"):
+        return tuple(divide(*pair) for pair in _law_table(n_max, params, engine))
 
 
 def _three_term_sweep(x, q0, steps):
@@ -261,6 +265,15 @@ def total_mass(params: ModelParams, engine: str = "float"):
     return math.exp(math.lgamma(a + 1) + math.lgamma(b + 1) - math.lgamma(a + b + 2))
 
 
+def _invariant_numerators(n_max: int, params: ModelParams) -> tuple[list[int], int]:
+    """Integers p_0..p_{n_max} and S with pi_i = p_i / S: the exact closed form."""
+    a, b = params.require_integral("engine='exact'")
+    return [
+        (2 * i + a + b + 1) * math.comb(i + b, b) * math.comb(i + a + b, b)
+        for i in range(n_max + 1)
+    ], total_mass(params, "exact").denominator
+
+
 def invariant_measure_table(n_max, params: ModelParams, engine: str = "float") -> list:
     """Invariant measure pi_0..pi_{n_max} of the walk, normalized so pi_0 = 1.
 
@@ -284,12 +297,8 @@ def invariant_measure_table(n_max, params: ModelParams, engine: str = "float") -
     n_max = check_int(n_max, "n_max")
     check_engine(engine)
     if engine == "exact":
-        a, b = params.require_integral("engine='exact'")
-        scale = total_mass(params, "exact").denominator
-        return [
-            Fraction((2 * i + a + b + 1) * math.comb(i + b, b) * math.comb(i + a + b, b), scale)
-            for i in range(n_max + 1)
-        ]
+        nums, scale = _invariant_numerators(n_max, params)
+        return [Fraction(p, scale) for p in nums]
     a, b = params.alpha, params.beta
     table = [1.0]
     tail = 1.0

@@ -53,7 +53,7 @@ import numpy as np
 
 from .model import ModelParams, check_int
 from .polynomials import _step_table
-from .rng import CounterStream, draw_below_many, raw_many, stream_keys
+from .rng import _MASK, CounterStream, draw_below_many, raw_many, stream_keys
 
 __all__ = [
     "StepTrace",
@@ -248,6 +248,11 @@ def terminal_state_counts(
         raise ValueError(f"sampler must be 'urn' or 'coefficients', got {sampler!r}")
     a, b = params.require_integral("terminal_state_counts")
     if sampler == "urn":
+        if 2 * (n0 + t) + a + b + 2 > _MASK:  # the lanes count balls in uint64
+            raise OverflowError(
+                f"alpha={a}, beta={b}: the largest urn, 2(n0+t) + alpha + beta + 2 balls, "
+                f"exceeds the uint64 limit {_MASK}"
+            )
         def run(start: int, size: int) -> np.ndarray:
             return _mechanism_chunk(n0, t, a, b, seed, start, size)
     else:

@@ -134,6 +134,20 @@ class TestMatrixPower:
             assert all(type(v) is Fraction for v in got)
             assert got == loop_row(t, i, j_max, params, "exact")
 
+    @pytest.mark.parametrize("a", range(7))
+    def test_integer_bands_match_fraction_propagation(self, a):
+        # two exact routes that share only the law's terms: integer bands
+        # over one denominator, and Fraction bands stepped by propagate.
+        # 40 states hold every state reachable in 30 steps from i <= 8
+        # below the clipped last row.
+        for b, i in product(range(7), range(9)):
+            params = ModelParams(a, b)
+            transition = build_transition(40, params, "exact")
+            mass = [F(int(n == i)) for n in range(40)]
+            for t in range(31):
+                assert matrix_power_row(t, i, i + t, params, "exact") == mass[: i + t + 1]
+                mass = transition.propagate(mass)
+
     def test_float_engine_shadows_exact(self):
         params = ModelParams(1, 2)
         exact = matrix_power_row(6, 1, 7, params, "exact")

@@ -1,12 +1,15 @@
 """Command-line surface: golden outputs, format parity, exit codes."""
 
+import cProfile
 import csv
 import hashlib
 import io
 import json
 import os
+import pstats
 import subprocess
 import sys
+from argparse import Namespace
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -14,7 +17,9 @@ from pathlib import Path
 import pytest
 
 from jacobi_walk import ModelParams, eval_poly, stationarity_residuals
+import jacobi_walk.chain as chain_module
 import jacobi_walk.cli as cli_module
+import jacobi_walk.polynomials as polynomials_module
 from jacobi_walk.cli import build_parser, main
 
 
@@ -370,6 +375,16 @@ class TestExitCodes:
         assert code == 2
         assert "--engine exact" in capsys.readouterr().err
 
+    def test_urn_past_uint64_is_one_line(self, capsys):
+        code, text = run_cli(
+            "simulate", "--n0", "5", "--t", "3", "--trajectories", "2000",
+            "--seed", "1", "--alpha", str(2**64 - 3),
+        )
+        assert code == 3 and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith(f"jacobi-walk: numerical failure: alpha={2**64 - 3}, beta=0: ")
+        assert err.endswith(f"exceeds the uint64 limit {2**64 - 1}\n") and err.count("\n") == 1
+
     def test_exact_engine_rejected_for_quadrule(self):
         code, _ = run_cli("quadrule", "--points", "3", "--engine", "exact")
         assert code == 2
@@ -558,6 +573,66 @@ class TestOutputsAndDeterminism:
         result = run_module("coeffs", "--n-max", "0", "--engine", "exact")
         assert result.returncode == 0
         assert result.stdout == "n,up,stay,down,sum\n0,1/2,1/2,0,1\n"
+
+
+def exact_checks(n_max, params):
+    """The exact stationarity residuals and coeffs sums over states 0..n_max."""
+    args = Namespace(n_max=n_max, engine="exact")
+    residuals = cli_module.cmd_stationary(args, params)["residual"]
+    return residuals, list(cli_module.cmd_coeffs(args, params)["sum"])
+
+
+def fraction_constructions(call, *args):
+    """Calls of Fraction.__new__ that ``call(*args)`` makes, counted by cProfile."""
+    profiler = cProfile.Profile()
+    profiler.runcall(call, *args)
+    return sum(
+        stat[1]
+        for (path, _, name), stat in pstats.Stats(profiler).stats.items()
+        if name == "__new__" and path.endswith("fractions.py")
+    )
+
+
+class TestExactChecksAreComputed:
+    """The exact residual and sum columns are formed from the law, not assumed."""
+
+    @pytest.mark.parametrize(
+        "term, shows_at", [(0, 1), (1, 0), (2, -1)], ids=["up", "stay", "down"]
+    )
+    def test_planted_numerator_shows(self, monkeypatch, term, shows_at):
+        # one wrong numerator of up, stay or down at state k moves mass wrongly
+        # out of k: to k + 1, k or k - 1 respectively
+        k, law_table = 7, polynomials_module._law_table
+
+        def planted(n_max, params, engine):
+            law = [list(pair) for pair in law_table(n_max, params, engine)]
+            law[term][0] = law[term][0].copy()
+            law[term][0][k] += 1
+            return tuple(map(tuple, law))
+
+        monkeypatch.setattr(chain_module, "_law_table", planted)
+        monkeypatch.setattr(cli_module, "_law_table", planted)
+        residuals, sums = exact_checks(20, ModelParams(3, 5))
+        assert [n for n, r in enumerate(residuals) if r != 0] == [k + shows_at]
+        assert [n for n, s in enumerate(sums) if s != 1] == [k]
+
+    @pytest.mark.parametrize("a", range(7))
+    def test_true_law_checks_out(self, a):
+        for b in range(7):
+            residuals, sums = exact_checks(400, ModelParams(a, b))
+            assert len(residuals) == 400 and len(sums) == 401
+            assert all(type(r) is Fraction and r == 0 for r in residuals)
+            assert all(type(s) is Fraction and s == 1 for s in sums)
+
+    def test_stationary_builds_at_most_two_fractions_per_state(self):
+        calls = fraction_constructions(stationarity_residuals, 401, ModelParams(3, 5), "exact")
+        assert calls <= 2 * 401
+
+    def test_coeffs_builds_at_most_four_fractions_per_state(self, tmp_path):
+        argv = ["coeffs", "--n-max", "400", "--engine", "exact", "--alpha", "3", "--beta", "5"]
+        assert main(argv + ["--output", str(tmp_path / "warm.csv")]) == 0
+        calls = fraction_constructions(main, argv + ["--output", str(tmp_path / "table.csv")])
+        assert calls <= 4 * 401
 
 
 class TestMonteCarloCommands:

@@ -173,6 +173,25 @@ class TestEnsembles:
             assert np.flatnonzero(counts - previous).tolist() == [state]
             previous = counts
 
+    # n0 = 5, t = 3: the largest urn holds 2 (n0 + t) + alpha + beta + 2 balls,
+    # which must fit in the lanes' uint64.  At the largest size that fits,
+    # a huge alpha makes stay ~ 1 and a huge beta makes up ~ 1.
+    @pytest.mark.parametrize("huge, end", [("alpha", 5), ("beta", 8)])
+    def test_largest_urn_that_fits_uint64_runs(self, huge, end):
+        params = ModelParams(**{"alpha": 0, "beta": 0, huge: 2**64 - 1 - 18})
+        counts = terminal_state_counts(5, 3, params, 2000, 1)
+        assert counts.tolist() == [2000 * (n == end) for n in range(9)]
+
+    @pytest.mark.parametrize("huge", ["alpha", "beta"])
+    def test_urn_past_uint64_is_refused(self, huge):
+        # one ball more would wrap the urn sizes in uint64, which spreads the
+        # mass silently: at alpha = 2**64 - 3, 65% of it left state 5
+        params = ModelParams(**{"alpha": 0, "beta": 0, huge: 2**64 - 18})
+        with pytest.raises(OverflowError, match=f"{huge}={2**64 - 18}.*{2**64 - 1}"):
+            terminal_state_counts(5, 3, params, 2000, 1)
+        # the coefficients sampler keeps no urn and is not limited
+        assert terminal_state_counts(5, 3, params, 10, 1, sampler="coefficients").sum() == 10
+
     def test_sampler_name_validated(self):
         with pytest.raises(ValueError):
             terminal_state_counts(0, 1, ModelParams(0, 0), 10, 1, sampler="magic")
