@@ -21,89 +21,21 @@ The exact engine (Fractions, integer exponents only) serves as the oracle
 for the float engine throughout.
 """
 
-from .model import ENGINES, ModelParams, NumericalError
-from .polynomials import (
-    StepCoefficients,
-    eval_poly,
-    invariant_measure,
-    invariant_measure_table,
-    monomial_coefficients,
-    norm_squared,
-    poly_product,
-    poly_table,
-    step_coefficients,
-    total_mass,
-    weight,
-)
-from .integrate import (
-    QuadratureRule,
-    gauss_jacobi_rule,
-    integrate_poly_exact,
-    integrate_quadrature,
-    moment,
-    orthonormality_table,
-)
-from .chain import (
-    BandedTransition,
-    build_transition,
-    matrix_power_row,
-    matrix_power_transition,
-    spectral_transition,
-    spectral_transition_row,
-    stationarity_residual,
-    stationarity_residuals,
-)
-from .rng import CounterStream, stream_key, stream_keys
-from .urn import (
-    StepTrace,
-    TransitionEstimate,
-    estimate_transition,
-    simulate_step,
-    simulate_trajectory,
-    step_distribution_exact,
-    terminal_state_counts,
-)
+from .model import *
+from .polynomials import *
+from .integrate import *
+from .chain import *
+from .rng import *
+from .urn import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BandedTransition",
-    "CounterStream",
-    "ENGINES",
-    "ModelParams",
-    "NumericalError",
-    "QuadratureRule",
-    "StepCoefficients",
-    "StepTrace",
-    "TransitionEstimate",
-    "build_transition",
-    "estimate_transition",
-    "eval_poly",
-    "gauss_jacobi_rule",
-    "integrate_poly_exact",
-    "integrate_quadrature",
-    "invariant_measure",
-    "invariant_measure_table",
-    "matrix_power_row",
-    "matrix_power_transition",
-    "moment",
-    "monomial_coefficients",
-    "norm_squared",
-    "orthonormality_table",
-    "poly_product",
-    "poly_table",
-    "simulate_step",
-    "simulate_trajectory",
-    "spectral_transition",
-    "spectral_transition_row",
-    "stationarity_residual",
-    "stationarity_residuals",
-    "step_coefficients",
-    "step_distribution_exact",
-    "stream_key",
-    "stream_keys",
-    "terminal_state_counts",
-    "total_mass",
-    "weight",
-    "__version__",
-]
+__all__ = (
+    model.__all__
+    + polynomials.__all__
+    + integrate.__all__
+    + chain.__all__
+    + rng.__all__
+    + urn.__all__
+    + ["__version__"]
+)

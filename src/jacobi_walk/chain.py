@@ -206,7 +206,8 @@ def spectral_transition(t, i, j, params: ModelParams, engine: str = "float"):
     t = check_int(t, "t")
     i = check_int(i, "i")
     j = check_int(j, "j")
-    check_engine(engine)
+    if check_engine(engine) == "exact":
+        params.require_integral("engine='exact'")
     if abs(i - j) > t:
         # unreachable in t steps of a birth-death walk
         return Fraction(0) if engine == "exact" else 0.0

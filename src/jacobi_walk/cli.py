@@ -30,7 +30,7 @@ import numpy as np
 
 from .chain import matrix_power_row, spectral_transition_row, stationarity_residuals
 from .integrate import gauss_jacobi_rule, orthonormality_table
-from .model import ModelParams, NumericalError, check_int
+from .model import ENGINES, ModelParams, NumericalError, check_int
 from .polynomials import _law_table, _poly_sweep, _step_table
 from .urn import binomial_estimate, terminal_state_counts
 
@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--engine",
-        choices=("float", "exact"),
+        choices=ENGINES,
         default="float",
         help="arithmetic engine (default float; exact = rational)",
     )

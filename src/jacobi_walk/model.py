@@ -14,7 +14,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-__all__ = ["ENGINES", "ModelParams", "NumericalError", "check_engine", "check_int"]
+__all__ = ["ENGINES", "ModelParams", "NumericalError"]
 
 ENGINES = ("float", "exact")
 
@@ -85,3 +85,16 @@ class ModelParams:
                 f"got alpha={self.alpha}, beta={self.beta}"
             )
         return self.alpha, self.beta
+
+    def require_float(self) -> tuple[float, float]:
+        """Return (alpha, beta) as floats, or raise OverflowError naming the
+        exponent too large for binary64 (its digits are not echoed)."""
+        floats = []
+        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
+            try:
+                floats.append(float(value))
+            except OverflowError:
+                raise OverflowError(
+                    f"{name} is too large for the float engine, which needs it below 2**1024"
+                ) from None
+        return floats[0], floats[1]

@@ -79,7 +79,7 @@ def _law_terms(n, params: ModelParams, engine: str):
     if engine == "exact":
         a, b = params.require_integral("engine='exact'")
     else:
-        a, b = float(params.alpha), float(params.beta)
+        a, b = params.require_float()
     if not isinstance(n, np.ndarray) and n == 0:
         # Cancelling the factors that vanish at n = 0 keeps both finite for
         # all a, b: (a+b+1) from up (0/0 at a + b = -1), and (a+b) from
@@ -299,6 +299,7 @@ def invariant_measure_table(n_max, params: ModelParams, engine: str = "float") -
     if engine == "exact":
         nums, scale = _invariant_numerators(n_max, params)
         return [Fraction(p, scale) for p in nums]
+    params.require_float()  # the range check only: integer exponents keep exact products
     a, b = params.alpha, params.beta
     table = [1.0]
     tail = 1.0

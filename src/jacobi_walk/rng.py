@@ -34,7 +34,7 @@ import numpy as np
 
 from .model import check_int
 
-__all__ = ["CounterStream", "draw_below_many", "raw_many", "stream_key", "stream_keys"]
+__all__ = ["CounterStream", "stream_key", "stream_keys"]
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15

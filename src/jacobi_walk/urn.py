@@ -58,7 +58,6 @@ from .rng import _MASK, CounterStream, draw_below_many, raw_many, stream_keys
 __all__ = [
     "StepTrace",
     "TransitionEstimate",
-    "binomial_estimate",
     "estimate_transition",
     "simulate_step",
     "simulate_trajectory",

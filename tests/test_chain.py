@@ -298,8 +298,11 @@ class TestSpectralTransition:
                 row_with(value)
 
     def test_exact_mode_rejects_fractional_params(self):
-        with pytest.raises(ValueError):
-            spectral_transition(2, 0, 0, ModelParams(0.5, 0), "exact")
+        # a reachable cell and one the walk cannot reach in t steps: the
+        # unreachable cell's zero is no excuse to skip the check
+        for t, i, j in ((2, 0, 0), (1, 5, 0)):
+            with pytest.raises(ValueError, match="requires nonnegative integer alpha and beta"):
+                spectral_transition(t, i, j, ModelParams(0.5, 0), "exact")
 
 
 class TestStationarity:
