@@ -9,10 +9,10 @@ array of row objects keyed by the column names.
 
 Exit codes: 0 success, 2 argument error (message names the offending
 flag; an unwritable --output counts as one), 3 numerical failure (e.g. a
-Gauss rule whose weight's total mass underflows to 0.0 or whose nodes fail
-the root-count check, an inf or nan float cell, which is never printed
-and is named by the first such cell in row order, or an exponent too large
-for the arithmetic).
+Gauss rule whose one-step law overflows binary64, whose weight's total
+mass underflows to 0.0 or whose nodes fail the root-count check, an inf or
+nan float cell, which is never printed and is named by the first such cell
+in row order, or an exponent too large for the arithmetic).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from .chain import matrix_power_row, spectral_transition_row, stationarity_residuals
 from .integrate import gauss_jacobi_rule, orthonormality_table
 from .model import ENGINES, ModelParams, NumericalError, check_int
-from .polynomials import _law_table, _poly_sweep, _step_table
+from .polynomials import _law_table, _poly_values, _step_table
 from .urn import binomial_estimate, terminal_state_counts
 
 __all__ = ["main"]
@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trajectories", type=_int_at_least(1), help="Monte Carlo sample size")
     p.add_argument("--seed", type=_int_at_least(0), help="Monte Carlo master seed")
     p.add_argument(
-        "--threads", type=_int_at_least(1), default=1, help="worker threads for --method mc"
+        "--threads", type=_int_at_least(1), help="worker threads for --method mc (default 1)"
     )
     p.set_defaults(run=cmd_transition)
 
@@ -194,8 +194,7 @@ def cmd_eval(args, params: ModelParams) -> dict:
         raise UsageError(f"--x must be a number or fraction, got {args.x!r}") from None
     if not 0 <= x <= 1:
         raise UsageError(f"--x must lie in [0, 1], got {args.x}")
-    values = list(_poly_sweep(args.n_max, x, params, args.engine))
-    return {"n": range(args.n_max + 1), "value": values}
+    return {"n": range(args.n_max + 1), "value": _poly_values(args.n_max, x, params, args.engine)}
 
 
 def _ensemble(args, params: ModelParams, start: int, context: str, states=None) -> tuple:
@@ -203,7 +202,7 @@ def _ensemble(args, params: ModelParams, start: int, context: str, states=None) 
     walk reaches), zero past its reach, and their binomial estimates."""
     _require_float_engine(args, context)
     counts = terminal_state_counts(
-        start, args.t, params, args.trajectories, args.seed, threads=args.threads
+        start, args.t, params, args.trajectories, args.seed, threads=args.threads or 1
     )
     hits = np.zeros(states or counts.size, dtype=counts.dtype)
     hits[: counts.size] = counts[: hits.size]
@@ -213,6 +212,10 @@ def _ensemble(args, params: ModelParams, start: int, context: str, states=None) 
 def cmd_transition(args, params: ModelParams) -> dict:
     states = range(args.j_max + 1)
     if args.method in ("km", "matrix"):
+        mc_flags = ("--trajectories", "--seed", "--threads")
+        given = [flag for flag in mc_flags if getattr(args, flag[2:]) is not None]
+        if given:
+            raise UsageError(f"--method {args.method} takes no {', '.join(given)} (mc only)")
         if args.method == "km":
             row = spectral_transition_row(args.t, args.i, params, args.j_max, args.engine)
         else:

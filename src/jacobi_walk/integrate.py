@@ -239,10 +239,13 @@ def _start_nodes(order: int, a: float, b: float) -> np.ndarray:
     Pittaluga's formula in rho = order + (a+b+1)/2; the _END_NODES nodes at
     each end use Bessel zeros scaled by Gatteschi's
     1/sqrt(rho**2 + (1 - a**2 - 3 b**2)/12), with a and b swapped at x = 1.
+    The exponents are taken as numpy binary64 scalars, so a guess that
+    overflows is inf or nan, which the root-count check rejects.
     """
-    rho = order + (a + b + 1) / 2
-    phi = (np.arange(1, order + 1) + a / 2 - 0.25) * math.pi / rho
+    a, b = np.float64(a), np.float64(b)
     with np.errstate(all="ignore"):
+        rho = order + (a + b + 1) / 2
+        phi = (np.arange(1, order + 1) + a / 2 - 0.25) * math.pi / rho
         theta = phi + ((0.25 - a * a) / np.tan(phi / 2) - (0.25 - b * b) * np.tan(phi / 2)) / (
             4 * rho * rho
         )
@@ -411,13 +414,16 @@ def gauss_jacobi_rule(order, params: ModelParams) -> QuadratureRule:
     weights are the reciprocal Christoffel-Darboux kernel
     1 / sum_{k<M} p_k**2 at the nodes (equal to the weight's total mass
     times the squared first eigenvector components).  Raises
-    NumericalError if a node fails the root-count check even after
+    NumericalError if the one-step law overflows binary64 (checked before
+    any Newton sweep), if a node fails the root-count check even after
     bisection, if the weight's total mass underflows, or if the rule
     violates its validity invariants (node ordering and containment,
     weight positivity).
     """
     order = check_int(order, "quadrature order", 1)
     diag, off, mass = _symmetrized_recurrence(order, params)
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise NumericalError(f"Gauss rule of order {order}: the one-step law overflows binary64")
     # For alpha, beta in 0..6 and orders up to 600 the asymptotic starts lie
     # within 18% of the local node spacing, and one to four double sweeps
     # reach the handover.  Measured against the sign change of p_M
@@ -429,7 +435,7 @@ def gauss_jacobi_rule(order, params: ModelParams) -> QuadratureRule:
     # only part of such a node's bits, so further sweeps cannot help.
     # Exponents near -1 or in the tens and hundreds defeat the asymptotics
     # at the ends, and the root-count check sends those nodes to bisection.
-    xs, step = _polish(_start_nodes(order, params.alpha, params.beta), diag, off)
+    xs, step = _polish(_start_nodes(order, *params.require_float()), diag, off)
     unverified = _unverified(xs.astype(float), step, diag, off)
     if unverified.any():
         lanes = np.flatnonzero(unverified)

@@ -143,25 +143,25 @@ def _three_term_sweep(x, q0, steps):
         yield q
 
 
-def _poly_sweep(n, x, params: ModelParams, engine: str):
-    """Q_0(x)..Q_n(x) as one sweep's generator: Fractions (exact) or binary64."""
-    n = check_int(n, "degree")
+def _poly_values(n, x, params: ModelParams, engine: str) -> list:
+    """Q_0(x)..Q_n(x): the exact sweep's Fractions, or a column of ``poly_table``."""
+    if check_engine(engine) == "float":
+        return poly_table(n, [x], params)[:, 0].tolist()
     up, stay, down = _step_table(n, params, engine)
-    x, one = (Fraction(x), Fraction(1)) if engine == "exact" else (float(x), 1.0)
-    return _three_term_sweep(x, one, zip(*(c[:n].tolist() for c in (stay, down, up))))
+    return list(_three_term_sweep(Fraction(x), Fraction(1), zip(stay[:n], down[:n], up[:n])))
 
 
 def eval_poly(n, x, params: ModelParams, engine: str = "float"):
     """Evaluate Q_n(x) by the forward recurrence.
 
     Exact mode accepts any rational x and returns a Fraction; float mode
-    runs in binary64.  Forward recursion is stable on [0, 1] under this
-    normalization (values stay within the modest growth of |Q_n(0)|); float
-    agreement with exact has been checked to degree several hundred.
+    reads the last row of ``poly_table`` at x, in binary64, where an
+    overflow leaves inf or nan.  Forward recursion is stable on [0, 1]
+    under this normalization (values stay within the modest growth of
+    |Q_n(0)|); float agreement with exact has been checked to degree
+    several hundred.
     """
-    for q in _poly_sweep(n, x, params, engine):
-        pass
-    return q
+    return _poly_values(n, x, params, engine)[-1]
 
 
 def poly_table(n_max, xs, params: ModelParams) -> np.ndarray:
@@ -261,7 +261,7 @@ def total_mass(params: ModelParams, engine: str = "float"):
             return 0.0
         n = (a + b + 1) * math.comb(a + b, b)
         return Fraction(1, n) if engine == "exact" else 1 / n
-    a, b = params.alpha, params.beta
+    a, b = params.require_float()
     return math.exp(math.lgamma(a + 1) + math.lgamma(b + 1) - math.lgamma(a + b + 2))
 
 
@@ -286,28 +286,28 @@ def invariant_measure_table(n_max, params: ModelParams, engine: str = "float") -
 
         pi_i = (2i+a+b+1) C(i+b, b) C(i+a+b, b) / [(a+b+1) C(a+b, b)].
 
-    Float mode keeps a running telescoped product: pi_i is the prefactor
-    (b+1)(2i+a+b+1)/(a+1) times prod_{m=2..i} (b+m)(a+b+m) / [m(a+m)].
-    Its factors are all safely sized and all denominators stay positive
-    down to a, b > -1, so no large-Gamma cancellation occurs and the
-    relative error stays at a few ulps per factor.  The (a+b+1) prefactor
-    of the raw telescoping is cancelled into the m = 1 term, keeping
-    a + b = -1 finite.
+    Float mode reads alpha and beta as binary64 and multiplies out a
+    telescoped product: pi_i is the prefactor (b+1)(2i+a+b+1)/(a+1) times
+    prod_{m=2..i} (b+m)(a+b+m) / [m(a+m)], one ``np.cumprod`` of the
+    factors in order of m.  Its factors are all safely sized and all
+    denominators stay positive down to a, b > -1, so no large-Gamma
+    cancellation occurs and the relative error stays at a few ulps per
+    factor.  The (a+b+1) prefactor of the raw telescoping is cancelled into
+    the m = 1 term, keeping a + b = -1 finite.  Exponents whose products
+    leave the double range yield inf or nan entries for the caller to check.
     """
     n_max = check_int(n_max, "n_max")
     check_engine(engine)
     if engine == "exact":
         nums, scale = _invariant_numerators(n_max, params)
         return [Fraction(p, scale) for p in nums]
-    params.require_float()  # the range check only: integer exponents keep exact products
-    a, b = params.alpha, params.beta
-    table = [1.0]
-    tail = 1.0
-    for m in range(1, n_max + 1):
-        if m > 1:
-            tail *= ((b + m) * (a + b + m)) / (m * (a + m))
-        table.append(((b + 1) * (2 * m + a + b + 1)) / (a + 1) * tail)
-    return table
+    a, b = params.require_float()
+    m = np.arange(1.0, n_max + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = (b + m) * (a + b + m) / (m * (a + m))
+        ratio[:1] = 1.0  # the m = 1 factor sits in the prefactor
+        pi = (b + 1) * (2 * m + a + b + 1) / (a + 1) * np.cumprod(ratio)
+    return [1.0, *pi.tolist()]
 
 
 def invariant_measure(i, params: ModelParams, engine: str = "float"):
@@ -337,7 +337,7 @@ def weight(x, params: ModelParams):
     """
     if not 0 <= x <= 1:
         raise ValueError(f"weight is defined on [0, 1], got x={x}")
-    a, b = params.alpha, params.beta
     if params.is_integral:
-        return x**a * (1 - x) ** b
+        return x**params.alpha * (1 - x) ** params.beta
+    a, b = params.require_float()
     return math.pow(x, a) * math.pow(1 - x, b)

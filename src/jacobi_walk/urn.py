@@ -247,6 +247,9 @@ def terminal_state_counts(
         raise ValueError(f"sampler must be 'urn' or 'coefficients', got {sampler!r}")
     a, b = params.require_integral("terminal_state_counts")
     if sampler == "urn":
+        for name, value in (("alpha", a), ("beta", b)):
+            if value > _MASK:
+                raise OverflowError(f"{name} exceeds the urn's uint64 limit 2**64 - 1")
         if 2 * (n0 + t) + a + b + 2 > _MASK:  # the lanes count balls in uint64
             raise OverflowError(
                 f"alpha={a}, beta={b}: the largest urn, 2(n0+t) + alpha + beta + 2 balls, "

@@ -65,6 +65,15 @@ HUGE_EXPONENT_MESSAGE = (
     "which needs it below 2**1024\n"
 )
 
+# Python's own messages for float arithmetic on huge ints or floats, which
+# name neither a flag nor a check
+PYTHON_FLOAT_MESSAGES = (
+    "float division by zero",
+    "int too large to convert to float",
+    "integer division result too large for a float",
+    "Numerical result out of range",
+)
+
 # float tables that overflow, and the first non-finite cell each reports
 OVERFLOWS = [
     (("eval", "--n-max", "3000", "--alpha", "300", "--x", "0"), "value is inf at n=1044"),
@@ -475,7 +484,7 @@ class TestExitCodes:
             "the weight's total mass underflows to 0.0\n"
         )
 
-    @pytest.mark.parametrize("exponent", [20, 200, 400])
+    @pytest.mark.parametrize("exponent", [20, 100, 200, 300, 400])
     @pytest.mark.parametrize("argv", HUGE_EXPONENT_COMMANDS, ids=" ".join)
     def test_huge_exponent_is_no_traceback(self, argv, exponent):
         # an exponent too large for binary64 fails as a numerical failure
@@ -487,6 +496,17 @@ class TestExitCodes:
             assert result.stderr.count("\n") == 1
         else:
             assert result.stderr == ""
+        if 100 <= exponent <= 300:
+            # inside the double range the float engine reads both exponents
+            # as binary64, and a failure names a column or a check
+            beta = run_module(*argv, "--beta", str(10**exponent))
+            assert beta.returncode in (0, 3) and beta.stderr.count("\n") <= 1
+            for stderr in (result.stderr, beta.stderr):
+                assert not any(m in stderr for m in PYTHON_FLOAT_MESSAGES), stderr
+        if exponent == 400 and argv[0] == "simulate":  # the urn names the exponent, not its digits
+            assert result.stderr == (
+                "jacobi-walk: numerical failure: alpha exceeds the urn's uint64 limit 2**64 - 1\n"
+            )
         if exponent == 400 and argv[0] != "simulate":  # simulate names its uint64 urn
             assert result.stderr == HUGE_EXPONENT_MESSAGE.format("alpha")
             # beta reaches the float invariant measure before the law in some
@@ -648,6 +668,20 @@ class TestExactChecksAreComputed:
 
 
 class TestMonteCarloCommands:
+    @pytest.mark.parametrize("method", ["km", "matrix"])
+    @pytest.mark.parametrize(
+        "flags",
+        [("--trajectories", "5"), ("--seed", "1"), ("--threads", "1"), ("--threads", "4")],
+        ids=" ".join,
+    )
+    def test_mc_flags_refused_by_other_methods(self, capsys, method, flags):
+        code, text = run_cli(
+            "transition", "--t", "2", "--i", "0", "--j-max", "2", "--method", method, *flags
+        )
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert err == f"jacobi-walk: error: --method {method} takes no {flags[0]} (mc only)\n"
+
     def test_mc_transition_close_to_closed_form(self):
         code, text = run_cli(
             "transition", "--t", "1", "--i", "0", "--j-max", "1",

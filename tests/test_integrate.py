@@ -339,6 +339,20 @@ class TestRootCountFallback:
             gauss_jacobi_rule(7, ModelParams(1, 1))
         gauss_jacobi_rule.cache_clear()
 
+    @pytest.mark.parametrize("ab", [(10**200, 0), (0, 10**200), (10**300, 3)])
+    def test_overflowing_law_raises_before_newton(self, monkeypatch, ab):
+        # nan recurrence data would be bisected and then blamed on the
+        # root count; the rule names the law instead, and starts no sweep
+        def no_start(order, a, b):
+            raise AssertionError("start nodes built on non-finite data")
+
+        monkeypatch.setattr(integrate_module, "_start_nodes", no_start)
+        gauss_jacobi_rule.cache_clear()
+        with pytest.raises(NumericalError) as failure:
+            gauss_jacobi_rule(3, ModelParams(*ab))
+        gauss_jacobi_rule.cache_clear()
+        assert str(failure.value) == "Gauss rule of order 3: the one-step law overflows binary64"
+
     @pytest.mark.parametrize("order", [1, 2, 3, 7, 40])
     def test_sturm_count_matches_eigenvalues(self, order):
         # the count of zeros of p_M above x is the count of Jacobi-matrix

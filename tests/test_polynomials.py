@@ -210,6 +210,21 @@ class TestEvalPoly:
             got = eval_poly(n, float(x), params, "float")
             assert abs(got - float(exact)) <= 1e-9 * max(1.0, abs(float(exact)))
 
+    def test_float_is_python_float_loop_bit_for_bit(self):
+        # the reference loop runs the forward recurrence on Python floats;
+        # the float engine reads a column of poly_table, whose numpy binary64
+        # arithmetic does the same operations in the same order
+        for params in map(ModelParams, *zip(*TABLE_GRID)):
+            up, stay, down = (c.tolist() for c in _step_table(300, params, "float"))
+            for x in (0.0, 0.125, 1 / 3, 0.93, 1.0):
+                q_prev, q, values = 0.0, 1.0, [1.0]
+                for k in range(300):
+                    q, q_prev = ((x - stay[k]) * q - down[k] * q_prev) / up[k], q
+                    values.append(q)
+                for n in (0, 1, 5, 50, 300):
+                    got = eval_poly(n, x, params)
+                    assert type(got) is float and got == values[n], (params, x, n)
+
     def test_table_matches_scalar(self):
         # against the exact engine: the float table and float eval_poly share
         # one sweep, so comparing those two would check the sweep with itself
@@ -362,6 +377,22 @@ class TestInvariantMeasure:
         assert exact[0] == 1 and got[0] == 1.0
         for value, reference in zip(got, exact):
             assert abs(value - float(reference)) <= 1e-13 * float(reference)
+
+    def test_float_table_is_running_product_bit_for_bit(self):
+        # the reference is the per-state loop of running products on the raw
+        # exponents; the table's one cumprod multiplies the same factors in
+        # the same order, and for these integer exponents every product
+        # stays below 2**53, so reading them as binary64 rounds nothing
+        for params in map(ModelParams, *zip(*TABLE_GRID)):
+            a, b = params.alpha, params.beta
+            expected, tail = [1.0], 1.0
+            for m in range(1, 3001):
+                if m > 1:
+                    tail *= ((b + m) * (a + b + m)) / (m * (a + m))
+                expected.append(((b + 1) * (2 * m + a + b + 1)) / (a + 1) * tail)
+            got = invariant_measure_table(3000, params)
+            assert all(type(value) is float for value in got)
+            assert got == expected, params
 
     def test_rejects_negative_size(self):
         with pytest.raises(ValueError, match="n_max must be >= 0"):

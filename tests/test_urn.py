@@ -192,6 +192,15 @@ class TestEnsembles:
         # the coefficients sampler keeps no urn and is not limited
         assert terminal_state_counts(5, 3, params, 10, 1, sampler="coefficients").sum() == 10
 
+    @pytest.mark.parametrize("value", [2**64, 10**400])
+    @pytest.mark.parametrize("huge", ["alpha", "beta"])
+    def test_exponent_past_uint64_is_named_without_digits(self, huge, value):
+        # an exponent that alone overflows the lanes is named, not echoed
+        params = ModelParams(**{"alpha": 0, "beta": 0, huge: value})
+        with pytest.raises(OverflowError) as failure:
+            terminal_state_counts(5, 3, params, 2000, 1)
+        assert str(failure.value) == f"{huge} exceeds the urn's uint64 limit 2**64 - 1"
+
     def test_sampler_name_validated(self):
         with pytest.raises(ValueError):
             terminal_state_counts(0, 1, ModelParams(0, 0), 10, 1, sampler="magic")
