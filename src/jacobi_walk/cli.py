@@ -10,9 +10,10 @@ array of row objects keyed by the column names.
 Exit codes: 0 success, 2 argument error (message names the offending
 flag; an unwritable --output counts as one), 3 numerical failure (e.g. a
 Gauss rule whose one-step law overflows binary64, whose weight's total
-mass underflows to 0.0 or whose nodes fail the root-count check, an inf or
-nan float cell, which is never printed and is named by the first such cell
-in row order, or an exponent too large for the arithmetic).
+mass or some of whose weights underflow to 0.0 or whose nodes fail the
+root-count check, an inf or nan float cell, which is never printed and is
+named by the first such cell in row order, or an exponent too large for
+the arithmetic).
 """
 
 from __future__ import annotations

@@ -416,9 +416,9 @@ def gauss_jacobi_rule(order, params: ModelParams) -> QuadratureRule:
     times the squared first eigenvector components).  Raises
     NumericalError if the one-step law overflows binary64 (checked before
     any Newton sweep), if a node fails the root-count check even after
-    bisection, if the weight's total mass underflows, or if the rule
-    violates its validity invariants (node ordering and containment,
-    weight positivity).
+    bisection, if the weight's total mass or a weight underflows, or if
+    the rule violates its validity invariants (node ordering and
+    containment, weight positivity).
     """
     order = check_int(order, "quadrature order", 1)
     diag, off, mass = _symmetrized_recurrence(order, params)
@@ -454,8 +454,14 @@ def gauss_jacobi_rule(order, params: ModelParams) -> QuadratureRule:
     weights = (np.longdouble(mass) / _christoffel_sum(xs, diag, off)).astype(float)
     if not (np.all(nodes > 0.0) and np.all(nodes < 1.0) and np.all(np.diff(nodes) > 0.0)):
         raise NumericalError(f"Gauss rule of order {order}: nodes violate (0, 1) ordering")
-    if not np.all(weights > 0.0):
+    # a negative weight, also one that underflows to -0.0, or a nan weight
+    if np.any(np.signbit(weights) | np.isnan(weights)):
         raise NumericalError(f"Gauss rule of order {order}: nonpositive weight")
+    if not np.all(weights > 0.0):
+        raise NumericalError(
+            f"Gauss rule of order {order}: {np.count_nonzero(weights == 0.0)} weights "
+            "underflow binary64"
+        )
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return QuadratureRule(order=order, params=params, nodes=nodes, weights=weights)

@@ -30,16 +30,18 @@ deliberately independent of the coefficient formulas in polynomials.py.
 
 Ensemble runs (``estimate_transition``, ``terminal_state_counts``) assign
 substream k of the master seed to trajectory k and reduce to terminal-state
-counts, so results are bit-reproducible regardless of thread count or
-chunking.  The vectorized literal sampler keeps each lane's state, urn
-sizes and picks in uint64, the dtype of the draws, and moves a lane by
-adding its up mask and subtracting its down mask.  A vectorized sampler
-that draws from the float one-step law directly (one draw per step) is
-available as sampler="coefficients"; it is a labeled fast path and is
-excluded from mechanism-agreement tests.  It compares float(raw) with the
-law's thresholds scaled by 2^64: scaling by a power of two is exact, so
-each compare decides as u = raw * 2^-64 against the unscaled threshold
-would.
+counts.  An ensemble runs as contiguous pieces on a grid that depends on
+the trajectory count and the thread count; the counts depend on neither,
+since lane k's draws depend only on (seed, k, draw index) and the
+histogram is a sum, so results are bit-reproducible.  The vectorized
+literal sampler keeps each lane's state, urn sizes and picks in uint64, the
+dtype of the draws, and moves a lane by adding its up mask and subtracting
+its down mask.  A vectorized sampler that draws from the float one-step
+law directly (one draw per step) is available as sampler="coefficients";
+it is a labeled fast path and is excluded from mechanism-agreement tests.
+It compares float(raw) with the law's thresholds scaled by 2^64: scaling
+by a power of two is exact, so each compare decides as u = raw * 2^-64
+against the unscaled threshold would.
 """
 
 from __future__ import annotations
@@ -67,9 +69,13 @@ __all__ = [
 
 Color = Literal["blue", "red"]
 
-# Trajectories are simulated in fixed-size chunks; the chunk grid depends
-# only on the trajectory count, so thread scheduling cannot affect results.
+# An ensemble runs as contiguous pieces of at most _CHUNK lanes, and as
+# several pieces of at least _PIECE lanes where there are threads to run
+# them.  The grid depends on the trajectory count and the thread count; the
+# counts depend on neither.  Below 2^15 lanes a second thread costs more in
+# GIL handoffs than the short numpy calls it overlaps.
 _CHUNK = 1 << 18
+_PIECE = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -221,6 +227,16 @@ def _coefficient_chunk(
     return np.bincount(states, minlength=n0 + t + 1).astype(np.int64)
 
 
+def _jobs(trajectories: int, threads: int) -> list[tuple[int, int]]:
+    """(start, size) of each piece: the fewest pieces of at most _CHUNK
+    lanes, or one per thread if that many hold _PIECE lanes each; in order,
+    sizes differing by at most one."""
+    count = max(-(-trajectories // _CHUNK), min(threads, trajectories // _PIECE))
+    size, extra = divmod(trajectories, count)
+    starts = [k * size + min(k, extra) for k in range(count + 1)]
+    return [(start, end - start) for start, end in zip(starts, starts[1:])]
+
+
 def terminal_state_counts(
     n0,
     t,
@@ -262,13 +278,11 @@ def terminal_state_counts(
         thresholds = (down, down + stay)
         def run(start: int, size: int) -> np.ndarray:
             return _coefficient_chunk(n0, t, thresholds, seed, start, size)
-    jobs = [
-        (start, min(_CHUNK, trajectories - start)) for start in range(0, trajectories, _CHUNK)
-    ]
+    jobs = _jobs(trajectories, threads)
     if threads == 1 or len(jobs) == 1:
         pieces = [run(start, size) for start, size in jobs]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             pieces = list(pool.map(lambda job: run(*job), jobs))
     # counts add commutatively, so summation order is irrelevant
     return np.sum(pieces, axis=0)

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import pstats
+import re
 import subprocess
 import sys
 from argparse import Namespace
@@ -484,6 +485,17 @@ class TestExitCodes:
             "the weight's total mass underflows to 0.0\n"
         )
 
+    def test_underflowed_weights_are_one_line(self):
+        # at (300, 0) some of the 600 weights lie below the smallest
+        # subnormal, and none is negative
+        result = run_module("quadrule", "--points", "600", "--alpha", "300")
+        assert result.returncode == 3 and result.stdout == ""
+        assert re.fullmatch(
+            "jacobi-walk: numerical failure: Gauss rule of order 600: "
+            r"\d+ weights underflow binary64\n",
+            result.stderr,
+        )
+
     @pytest.mark.parametrize("exponent", [20, 100, 200, 300, 400])
     @pytest.mark.parametrize("argv", HUGE_EXPONENT_COMMANDS, ids=" ".join)
     def test_huge_exponent_is_no_traceback(self, argv, exponent):
@@ -595,6 +607,13 @@ class TestOutputsAndDeterminism:
         _, one = run_cli(*base, "--threads", "1")
         _, four = run_cli(*base, "--threads", "4")
         assert one == four
+
+    def test_simulate_thread_invariance_within_one_chunk(self):
+        # 2^17 trajectories fit one chunk, which two threads run as two pieces
+        base = ("simulate", "--n0", "2", "--t", "5", "--trajectories", "131072", "--seed", "8")
+        _, one = run_cli(*base, "--threads", "1")
+        _, two = run_cli(*base, "--threads", "2")
+        assert one == two
 
     def test_simulate_all_mass_at_origin_for_zero_steps(self):
         _, text = run_cli("simulate", "--n0", "0", "--t", "0", "--trajectories", "100", "--seed", "1")

@@ -6,6 +6,7 @@ budget.  An M-point rule owes exactness through degree 2M - 1.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -143,6 +144,39 @@ class TestGaussRule:
         rule = gauss_jacobi_rule(4, ModelParams(1, 1))
         with pytest.raises(ValueError, match="must match the rule's nodes in shape"):
             rule.integrate(np.ones(3))
+
+    def test_underflowing_weights_are_named(self):
+        # at (300, 0) the weights near 1 fall below the smallest subnormal;
+        # none is negative, so the rule names the underflow
+        gauss_jacobi_rule.cache_clear()
+        with pytest.raises(NumericalError) as failure:
+            gauss_jacobi_rule(600, ModelParams(300, 0))
+        gauss_jacobi_rule.cache_clear()
+        found = re.fullmatch(
+            r"Gauss rule of order 600: (\d+) weights underflow binary64", str(failure.value)
+        )
+        assert found and 0 < int(found[1]) < 600
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan])
+    @pytest.mark.parametrize("node", [1, "middle"])
+    @pytest.mark.parametrize("order, ab", [(20, (3, 5)), (600, (300, 0))])
+    def test_negative_or_nan_weight_is_nonpositive(self, monkeypatch, bad, node, order, ab):
+        # a planted negative or nan weight is named as such, also among
+        # underflowed ones; at (300, 0) node 1's weight underflows, to -0.0
+        # once negated
+        real_sum = integrate_module._christoffel_sum
+
+        def planted(xs, diag, off):
+            kernel = real_sum(xs, diag, off)
+            kernel[order // 2 if node == "middle" else node] *= bad
+            return kernel
+
+        monkeypatch.setattr(integrate_module, "_christoffel_sum", planted)
+        gauss_jacobi_rule.cache_clear()
+        with pytest.raises(NumericalError) as failure:
+            gauss_jacobi_rule(order, ModelParams(*ab))
+        gauss_jacobi_rule.cache_clear()
+        assert str(failure.value) == f"Gauss rule of order {order}: nonpositive weight"
 
     def test_real_parameter_rule(self):
         # Chebyshev-like weight: mass pi, nodes still inside (0,1)

@@ -25,6 +25,7 @@ from jacobi_walk import (
     step_distribution_exact,
     terminal_state_counts,
 )
+import jacobi_walk.urn as urn_module
 
 F = Fraction
 
@@ -135,6 +136,41 @@ class TestEnsembles:
         threaded = terminal_state_counts(1, 4, params, 600000, 31337, threads=4)
         assert np.array_equal(base, threaded)
 
+    @pytest.mark.parametrize("sampler", ["urn", "coefficients"])
+    @pytest.mark.parametrize("trajectories", [1 << 15, (1 << 16) + 1, 3 << 16])
+    def test_threads_do_not_change_counts_at_split_sizes(self, sampler, trajectories):
+        # sizes at which threads split what one thread runs as one chunk
+        params = ModelParams(2, 3)
+        counts = [
+            terminal_state_counts(3, 5, params, trajectories, 4242, threads, sampler)
+            for threads in (1, 2, 3, 4)
+        ]
+        assert all(np.array_equal(counts[0], other) for other in counts[1:])
+
+    def test_pool_has_one_worker_per_piece(self, monkeypatch):
+        # 3 * 2^15 lanes make three pieces however many threads are asked
+        # for; the stand-in pool runs them in order and starts no thread
+        workers = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        params = ModelParams(1, 0)
+        base = terminal_state_counts(0, 3, params, 3 << 15, 77)
+        monkeypatch.setattr(urn_module, "ThreadPoolExecutor", InlinePool)
+        assert np.array_equal(terminal_state_counts(0, 3, params, 3 << 15, 77, 10**4), base)
+        assert workers == [3]
+
     def test_counts_cover_all_trajectories(self):
         counts = terminal_state_counts(0, 3, ModelParams(0, 1), 5000, 9)
         assert counts.sum() == 5000
@@ -204,6 +240,59 @@ class TestEnsembles:
     def test_sampler_name_validated(self):
         with pytest.raises(ValueError):
             terminal_state_counts(0, 1, ModelParams(0, 0), 10, 1, sampler="magic")
+
+
+GRID_TRAJECTORIES = [
+    1, 2, (1 << 15) - 1, 1 << 15, (1 << 16) + 1, 1 << 18, (1 << 18) + (1 << 15) + 3, 10**6
+]
+GRID_THREADS = [1, 2, 3, 4, 10**4]
+
+
+def _check_grid(jobs, trajectories):
+    """Assert that ``jobs`` tiles lanes 0..trajectories-1 in order, without
+    gap or overlap, in pieces whose sizes differ by at most one and lie
+    within [_PIECE, _CHUNK] (a lone piece may be smaller)."""
+    starts = [start for start, _ in jobs]
+    ends = [start + size for start, size in jobs]
+    assert starts[0] == 0 and ends[-1] == trajectories
+    assert starts[1:] == ends[:-1]
+    sizes = [size for _, size in jobs]
+    assert max(sizes) - min(sizes) <= 1
+    assert max(sizes) <= urn_module._CHUNK
+    assert len(jobs) == 1 or min(sizes) >= urn_module._PIECE
+
+
+class TestJobGrid:
+    """The piece grid alone: these tests call the helper and start no thread."""
+
+    @pytest.mark.parametrize("threads", GRID_THREADS)
+    @pytest.mark.parametrize("trajectories", GRID_TRAJECTORIES)
+    def test_pieces_tile_the_ensemble(self, trajectories, threads):
+        _check_grid(urn_module._jobs(trajectories, threads), trajectories)
+
+    @pytest.mark.parametrize("trajectories", GRID_TRAJECTORIES)
+    def test_one_thread_takes_the_fewest_pieces(self, trajectories):
+        assert len(urn_module._jobs(trajectories, 1)) == -(-trajectories // urn_module._CHUNK)
+
+    def test_two_threads_split_one_chunk(self):
+        assert urn_module._jobs((1 << 16) + 1, 2) == [(0, 32769), (32769, 32768)]
+        assert len(urn_module._jobs(1 << 15, 2)) == 1
+
+    def test_many_threads_get_few_pieces(self):
+        assert len(urn_module._jobs(10**6, 10**4)) <= 30
+
+    @pytest.mark.parametrize("plant", ["drop first", "repeat first", "drop last", "repeat last"])
+    def test_check_fails_a_grid_that_drops_or_repeats_a_lane(self, plant):
+        trajectories = (1 << 18) + (1 << 15) + 3
+        (s0, z0), (s1, z1) = urn_module._jobs(trajectories, 2)
+        planted = {
+            "drop first": [(s0 + 1, z0 - 1), (s1, z1)],
+            "repeat first": [(s0, z0 + 1), (s1, z1)],
+            "drop last": [(s0, z0), (s1, z1 - 1)],
+            "repeat last": [(s0, z0), (s1 - 1, z1 + 1)],
+        }[plant]
+        with pytest.raises(AssertionError):
+            _check_grid(planted, trajectories)
 
 
 class TestEstimateTransition:
