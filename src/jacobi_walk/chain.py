@@ -27,10 +27,12 @@ probabilities (P^t)_{ij} live here:
 
 Banded propagation runs one step body on the bands over one common
 denominator D: float64 with D = 1, or for the exact engine the integers
-the law's numerators become over the lcm D of its denominators, so no
-Fraction is formed before a printed cell.  Each state's new mass adds the
-same products in the same order as a plain loop over states would, so
-neither engine's results depend on the vectorization.
+the law's numerators become over the lcm D of its denominators.  Exact
+rows and residuals are thus integer numerators over denominators, which
+the public functions wrap in Fractions and the CLI prints as they are.
+Each state's new mass adds the same products in the same order as a plain
+loop over states would, so neither engine's results depend on the
+vectorization.
 ``BandedTransition.propagate`` runs it on Fractions, independently.
 
 ``stationarity_residuals`` checks the fixed-point identity pi P = pi for
@@ -59,7 +61,7 @@ from .polynomials import (
     _step_table,
     invariant_measure_table,
 )
-from .integrate import _exact_spectral_cells, _float_spectral_cells
+from .integrate import _exact_spectral_terms, _float_spectral_cells
 
 __all__ = [
     "BandedTransition",
@@ -156,36 +158,46 @@ def _scaled_bands(N: int, params: ModelParams, engine: str) -> tuple:
     return (stay, up[:-1], down[1:]), den
 
 
-def matrix_power_row(t, i, j_max, params: ModelParams, engine: str = "exact") -> list:
-    """Row i of P^t, entries j = 0..j_max, by repeated banded products.
+def _power_row(t: int, i: int, j_max: int, params: ModelParams, engine: str) -> tuple[list, int]:
+    """Row i of P^t, entries j = 0..j_max, as numerators m_j over one scale.
 
-    Exact by the truncation argument in the module docstring; the float
-    variant runs the same recursion in binary64.  The exact variant runs on
+    The float row is the values over a scale of 1.  The exact one runs on
     the integer bands of ``_scaled_bands`` over one common denominator D,
     so after each step the row is an integer vector m over a scale that has
     gained a factor D.  Cancelling the gcd of the scale and all of m after
     every step keeps the integers near the size of the row's reduced
-    denominators; the row is m_j / scale.
+    denominators.
+    """
+    bands, den = _scaled_bands(max(i, j_max) + t + 1, params, engine)
+    mass = np.zeros(bands[0].size, dtype=bands[0].dtype)
+    mass[i] = 1
+    scale = 1
+    if engine == "float":
+        for _ in range(t):
+            mass = _banded_step(mass, *bands)
+    else:
+        for _ in range(t):
+            mass = _banded_step(mass, *bands)
+            scale *= den
+            common = math.gcd(scale, *mass)
+            mass //= common
+            scale //= common
+    # tolist yields plain floats or ints, never numpy scalars
+    return mass[: j_max + 1].tolist(), scale
+
+
+def matrix_power_row(t, i, j_max, params: ModelParams, engine: str = "exact") -> list:
+    """Row i of P^t, entries j = 0..j_max, by repeated banded products.
+
+    Exact by the truncation argument in the module docstring; the float
+    variant runs the same recursion in binary64.  The exact row is
+    ``_power_row``'s integers m_j / scale as Fractions.
     """
     t = check_int(t, "t")
     i = check_int(i, "i")
     j_max = check_int(j_max, "j_max")
-    bands, den = _scaled_bands(max(i, j_max) + t + 1, params, engine)
-    mass = np.zeros(bands[0].size, dtype=bands[0].dtype)
-    mass[i] = 1
-    if engine == "float":
-        for _ in range(t):
-            mass = _banded_step(mass, *bands)
-        # tolist yields plain floats, never np.float64
-        return mass[: j_max + 1].tolist()
-    scale = 1
-    for _ in range(t):
-        mass = _banded_step(mass, *bands)
-        scale *= den
-        common = math.gcd(scale, *mass)
-        mass //= common
-        scale //= common
-    return [Fraction(m, scale) for m in mass[: j_max + 1].tolist()]
+    row, scale = _power_row(t, i, j_max, params, engine)
+    return [Fraction(m, scale) for m in row] if engine == "exact" else row
 
 
 def matrix_power_transition(t, i, j, params: ModelParams) -> Fraction:
@@ -214,6 +226,21 @@ def spectral_transition(t, i, j, params: ModelParams, engine: str = "float"):
     return spectral_transition_row(t, i, params, j, engine)[j]
 
 
+def _reach(t: int, i: int, j_max: int) -> range:
+    """The columns max(0, i-t)..min(j_max, i+t) of row i that t steps reach."""
+    return range(max(0, i - t), min(j_max, i + t) + 1)
+
+
+def _exact_spectral_row(t: int, i: int, params: ModelParams, j_max: int) -> tuple[list, list]:
+    """Numerators and denominators of the exact ``spectral_transition_row``."""
+    nums, dens = [0] * (j_max + 1), [1] * (j_max + 1)
+    cols = _reach(t, i, j_max)
+    if cols:
+        terms = _exact_spectral_terms(t, [i], cols, params)
+        nums[cols.start : cols.stop], dens[cols.start : cols.stop] = terms
+    return nums, dens
+
+
 def spectral_transition_row(t, i, params: ModelParams, j_max, engine: str = "float") -> list:
     """Row i of P^t for j = 0..j_max via the spectral representation.
 
@@ -224,27 +251,43 @@ def spectral_transition_row(t, i, params: ModelParams, j_max, engine: str = "flo
     t = check_int(t, "t")
     i = check_int(i, "i")
     j_max = check_int(j_max, "j_max")
-    check_engine(engine)
-    exact = engine == "exact"
-    if exact:
+    if check_engine(engine) == "exact":
         params.require_integral("engine='exact'")
-    row = [Fraction(0) if exact else 0.0] * (j_max + 1)
-    first, reach = max(0, i - t), min(j_max, i + t)
-    if first <= reach:
-        cols = range(first, reach + 1)
-        if exact:
-            row[first : reach + 1] = _exact_spectral_cells(t, [i], cols, params)[0]
-        else:
-            cells = _float_spectral_cells(t, [i], cols, params, (t + i + reach) // 2 + 1)[0]
-            # nan is out of range too; clip keeps -0.0, which lies in [0, 1]
-            bad = np.flatnonzero(~((cells >= -_CLAMP_SLACK) & (cells <= 1.0 + _CLAMP_SLACK)))
-            if bad.size:
-                raise NumericalError(
-                    f"spectral_transition(t={t}, i={i}, j={first + bad[0]}): value "
-                    f"{float(cells[bad[0]])!r} outside [0, 1] beyond rounding slack"
-                )
-            row[first : reach + 1] = np.clip(cells, 0.0, 1.0).tolist()
+        return list(map(Fraction, *_exact_spectral_row(t, i, params, j_max)))
+    row = [0.0] * (j_max + 1)
+    cols = _reach(t, i, j_max)
+    if cols:
+        cells = _float_spectral_cells(t, [i], cols, params, (t + i + cols[-1]) // 2 + 1)[0]
+        # nan is out of range too; clip keeps -0.0, which lies in [0, 1]
+        bad = np.flatnonzero(~((cells >= -_CLAMP_SLACK) & (cells <= 1.0 + _CLAMP_SLACK)))
+        if bad.size:
+            raise NumericalError(
+                f"spectral_transition(t={t}, i={i}, j={cols[bad[0]]}): value "
+                f"{float(cells[bad[0]])!r} outside [0, 1] beyond rounding slack"
+            )
+        row[cols.start : cols.stop] = np.clip(cells, 0.0, 1.0).tolist()
     return row
+
+
+def _residual_terms(N: int, params: ModelParams, engine: str) -> tuple:
+    """((pi, S), (errors, scaled)): ``stationarity_residuals`` as numerators.
+
+    pi_n = pi[n] / S, and residual n = errors[n] / scaled[n].  Exact mode
+    steps pi's integer numerators p_n over the integer bands, so the
+    residual is |flow_n - D p_n| / (D p_n); float mode has S = D = 1.
+    """
+    if engine == "exact":
+        pi, scale = _invariant_numerators(N - 1, params)
+        measure = np.array(pi, dtype=object)
+    else:
+        pi, scale = invariant_measure_table(N - 1, params, engine), 1
+        measure = np.array(pi)
+    bands, den = _scaled_bands(N, params, engine)
+    # a float overflow leaves inf or nan for the caller to check
+    with np.errstate(all="ignore"):
+        scaled = den * measure[:-1]
+        errors = abs(_banded_step(measure, *bands)[:-1] - scaled)
+    return (pi, scale), (errors, scaled)
 
 
 def stationarity_residuals(N, params: ModelParams, engine: str = "float") -> tuple[list, list]:
@@ -253,25 +296,18 @@ def stationarity_residuals(N, params: ModelParams, engine: str = "float") -> tup
     Residual n is |(pi P)_n - pi_n| / pi_n for n = 0..N-2, where pi P is
     one banded step of pi on the truncation to N states (the component N-1
     would need pi_N and is excluded, so there is one residual fewer than pi
-    entries).  Exact mode steps pi's integer numerators p_n over the integer
-    bands: residual n is |flow_n - D p_n| / (D p_n), or one shared zero.
+    entries).  Exact mode returns Fractions from ``_residual_terms``'
+    integers, every zero residual one shared Fraction(0).
     """
     N = check_int(N, "N", 2)
-    if check_engine(engine) == "exact":
-        nums, scale = _invariant_numerators(N - 1, params)
-        pi, measure = [Fraction(p, scale) for p in nums], np.array(nums, dtype=object)
-        zero = Fraction(0)  # shared by every zero residual
-        divide = np.frompyfunc(lambda e, d: Fraction(e, d) if e else zero, 2, 1)
-    else:
-        pi = invariant_measure_table(N - 1, params, engine)
-        measure, divide = np.array(pi), np.true_divide
-    bands, den = _scaled_bands(N, params, engine)
-    # a float overflow leaves inf or nan for the caller to check
-    with np.errstate(all="ignore"):
-        scaled = den * measure[:-1]
-        residuals = divide(abs(_banded_step(measure, *bands)[:-1] - scaled), scaled)
-    # tolist yields plain floats or the Fractions themselves
-    return pi, residuals.tolist()
+    (pi, scale), (errors, scaled) = _residual_terms(N, params, check_engine(engine))
+    if engine == "float":
+        with np.errstate(all="ignore"):
+            return pi, np.true_divide(errors, scaled).tolist()
+    zero = Fraction(0)
+    return [Fraction(p, scale) for p in pi], [
+        Fraction(e, d) if e else zero for e, d in zip(errors.tolist(), scaled.tolist())
+    ]
 
 
 def stationarity_residual(N, params: ModelParams, engine: str = "float"):

@@ -5,15 +5,22 @@ the same run carry identical values.  Exact-mode cells are fraction strings
 "p/q" in lowest terms (bare integers when the denominator is 1) and never
 contain a decimal point; float-mode cells use repr's shortest round-trip
 decimal form.  CSV has a header row, UTF-8, LF line endings.  JSON is an
-array of row objects keyed by the column names.
+array of row objects keyed by the column names, exact cells as strings.
+
+The exact tables (coeffs, transition by matrix or km, stationary,
+orthocheck) come from the library's integer cores as numerators over
+denominators, and each cell is formatted from those integers exactly as
+str(Fraction) prints it, without forming a Fraction; the library's public
+functions still return Fractions.  Only ``eval`` runs its exact sweep on
+Fractions, which it turns into text before rendering.
 
 Exit codes: 0 success, 2 argument error (message names the offending
 flag; an unwritable --output counts as one), 3 numerical failure (e.g. a
 Gauss rule whose one-step law overflows binary64, whose weight's total
 mass or some of whose weights underflow to 0.0 or whose nodes fail the
-root-count check, an inf or nan float cell, which is never printed and is
-named by the first such cell in row order, or an exponent too large for
-the arithmetic).
+root-count check or round onto one double, an inf or nan float cell, which
+is never printed and is named by the first such cell in row order, or an
+exponent too large for the arithmetic).
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 from functools import cache
@@ -29,8 +37,15 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .chain import matrix_power_row, spectral_transition_row, stationarity_residuals
-from .integrate import gauss_jacobi_rule, orthonormality_table
+from .chain import (
+    _exact_spectral_row,
+    _power_row,
+    _residual_terms,
+    matrix_power_row,
+    spectral_transition_row,
+    stationarity_residuals,
+)
+from .integrate import _exact_spectral_terms, gauss_jacobi_rule, orthonormality_table
 from .model import ENGINES, ModelParams, NumericalError, check_int
 from .polynomials import _law_table, _poly_values, _step_table
 from .urn import binomial_estimate, terminal_state_counts
@@ -40,6 +55,42 @@ __all__ = ["main"]
 
 class UsageError(Exception):
     """Bad argument combination detected after parsing; exits with code 2."""
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)), formed from the integers without the Fraction.
+
+    Lowest terms with the sign on the numerator, and a bare integer when the
+    reduced denominator is 1; a zero denominator raises ZeroDivisionError.
+    """
+    if not den:
+        raise ZeroDivisionError(f"Fraction({num}, 0)")
+    g = math.gcd(num, den)
+    if den < 0:
+        g = -g
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+class _Ratios:
+    """An exact column kept as integers: cell k is nums[k] / dens[k].
+
+    Iterating yields the cells as Fractions, as the library functions return
+    them; ``render`` prints them with ``_ratio_text`` and forms none.
+    """
+
+    def __init__(self, nums: list, dens) -> None:
+        # one int denominator serves every cell
+        self.nums = nums
+        self.dens = [dens] * len(nums) if isinstance(dens, int) else dens
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def __iter__(self):
+        return map(Fraction, self.nums, self.dens)
+
+    def text(self) -> list[str]:
+        return list(map(_ratio_text, self.nums, self.dens))
 
 
 def _int_at_least(minimum: int):
@@ -181,11 +232,11 @@ def cmd_coeffs(args, params: ModelParams) -> dict:
         (nu, du), (ns, ds), (nd, dd) = law = _law_table(args.n_max, params, "exact")
         # the sum in integers over the product of the three denominators
         law += ((nu * ds * dd + ns * du * dd + nd * du * ds, du * ds * dd),)
-        up, stay, down, total = (np.frompyfunc(Fraction, 2, 1)(*pair) for pair in law)
+        up, stay, down, total = (_Ratios(nums.tolist(), dens.tolist()) for nums, dens in law)
     else:  # the float sum adds up + stay + down in the order of StepCoefficients.total
         up, stay, down = _step_table(args.n_max, params, "float")
         total = up + stay + down
-    return {"n": range(up.size), "up": up, "stay": stay, "down": down, "sum": total}
+    return {"n": range(args.n_max + 1), "up": up, "stay": stay, "down": down, "sum": total}
 
 
 def cmd_eval(args, params: ModelParams) -> dict:
@@ -195,7 +246,10 @@ def cmd_eval(args, params: ModelParams) -> dict:
         raise UsageError(f"--x must be a number or fraction, got {args.x!r}") from None
     if not 0 <= x <= 1:
         raise UsageError(f"--x must lie in [0, 1], got {args.x}")
-    return {"n": range(args.n_max + 1), "value": _poly_values(args.n_max, x, params, args.engine)}
+    values = _poly_values(args.n_max, x, params, args.engine)
+    if args.engine == "exact":  # the sweep runs on Fractions; render takes their text
+        values = list(map(str, values))
+    return {"n": range(args.n_max + 1), "value": values}
 
 
 def _ensemble(args, params: ModelParams, start: int, context: str, states=None) -> tuple:
@@ -217,10 +271,15 @@ def cmd_transition(args, params: ModelParams) -> dict:
         given = [flag for flag in mc_flags if getattr(args, flag[2:]) is not None]
         if given:
             raise UsageError(f"--method {args.method} takes no {', '.join(given)} (mc only)")
-        if args.method == "km":
-            row = spectral_transition_row(args.t, args.i, params, args.j_max, args.engine)
+        if args.engine == "exact":
+            if args.method == "km":
+                row = _Ratios(*_exact_spectral_row(args.t, args.i, params, args.j_max))
+            else:
+                row = _Ratios(*_power_row(args.t, args.i, args.j_max, params, "exact"))
+        elif args.method == "km":
+            row = spectral_transition_row(args.t, args.i, params, args.j_max, "float")
         else:
-            row = matrix_power_row(args.t, args.i, args.j_max, params, args.engine)
+            row = matrix_power_row(args.t, args.i, args.j_max, params, "float")
         return {"j": states, "probability": row}
     if args.trajectories is None or args.seed is None:
         raise UsageError("--method mc requires --trajectories and --seed")
@@ -229,14 +288,22 @@ def cmd_transition(args, params: ModelParams) -> dict:
 
 
 def cmd_stationary(args, params: ModelParams) -> dict:
-    pi, residuals = stationarity_residuals(args.n_max + 1, params, args.engine)
+    if args.engine == "exact":
+        (pi, scale), (errors, scaled) = _residual_terms(args.n_max + 1, params, "exact")
+        pi, residuals = _Ratios(pi, scale), _Ratios(errors.tolist(), scaled.tolist())
+    else:
+        pi, residuals = stationarity_residuals(args.n_max + 1, params, "float")
     return {"i": range(args.n_max + 1), "pi": pi, "residual": residuals}
 
 
 def cmd_orthocheck(args, params: ModelParams) -> dict:
-    table = orthonormality_table(args.i_max, params, args.engine)
+    if args.engine == "exact":
+        degrees = range(args.i_max + 1)
+        value = _Ratios(*_exact_spectral_terms(0, degrees, degrees, params))
+    else:
+        value = np.ravel(orthonormality_table(args.i_max, params, "float"))
     i, j = np.divmod(np.arange((args.i_max + 1) ** 2), args.i_max + 1)
-    return {"i": i, "j": j, "value": np.ravel(table)}
+    return {"i": i, "j": j, "value": value}
 
 
 def cmd_simulate(args, params: ModelParams) -> dict:
@@ -264,10 +331,18 @@ def _check_finite(columns: dict) -> None:
         raise NumericalError(f"{name} is {value!r} at {key}={columns[key][row]}")
 
 
+def _cells(column) -> list:
+    """A column's cells as ``render`` prints them: plain ints, floats and text."""
+    if isinstance(column, _Ratios):
+        return column.text()
+    # tolist yields plain ints and floats
+    return column.tolist() if isinstance(column, np.ndarray) else column
+
+
 def render(columns: dict, fmt: str) -> str:
-    # tolist yields plain ints and floats; zip_longest fills a short column
-    # with None, which CSV prints empty and JSON as null
-    rows = zip_longest(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()))
+    # zip_longest fills a short column with None, which CSV prints empty and
+    # JSON as null
+    rows = zip_longest(*map(_cells, columns.values()))
     if fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -275,8 +350,7 @@ def render(columns: dict, fmt: str) -> str:
         # the writer prints floats via repr, the rest via str
         writer.writerows(rows)
         return buffer.getvalue()
-    # default=str prints a Fraction as "p/q"
-    return json.dumps([dict(zip(columns, row)) for row in rows], indent=2, default=str) + "\n"
+    return json.dumps([dict(zip(columns, row)) for row in rows], indent=2) + "\n"
 
 
 def main(argv=None) -> int:
@@ -286,7 +360,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         columns = args.run(args, ModelParams(args.alpha, args.beta))
-        if args.engine == "float":  # exact tables hold only Fractions and integers
+        if args.engine == "float":  # exact tables hold only integers and their ratios
             _check_finite(columns)
     except UsageError as exc:
         print(f"jacobi-walk: error: {exc}", file=sys.stderr)

@@ -19,10 +19,11 @@ integral is then one integer dot product and one Fraction.
 
 Every spectral cell pi_j integral(x**t Q_i Q_j W) / total_mass is computed
 here, once per engine; ``chain``'s spectral rows are blocks of cells and
-the orthonormality table is the t = 0 block.  ``_exact_spectral_cells``
-forms them from one bilinear form (at t = 0 the Gram matrix
-C H C^T diag(pi), C the coefficient matrix and H the Hankel matrix of the
-mu_k), ``_float_spectral_cells`` on one Gauss rule.
+the orthonormality table is the t = 0 block.  ``_exact_spectral_terms``
+forms their integer numerators and denominators from one bilinear form (at
+t = 0 the Gram matrix C H C^T diag(pi), C the coefficient matrix and H the
+Hankel matrix of the mu_k), ``_float_spectral_cells`` the cells on one
+Gauss rule.
 
 The rule is built in three steps, each written out here rather than taken
 from a linear-algebra package, which keeps the quadrature path
@@ -146,37 +147,32 @@ def integrate_poly_exact(coeffs, params: ModelParams) -> Fraction:
     )
 
 
-def _exact_spectral_cells(t: int, rows, cols, params: ModelParams) -> list[list[Fraction]]:
-    """pi_j * integral(x**t Q_i Q_j W) / total_mass for i in rows, j in cols.
+def _exact_spectral_terms(t: int, rows, cols, params: ModelParams) -> tuple[list, list]:
+    """pi_j * integral(x**t Q_i Q_j W) / total_mass for i in rows, j in cols,
+    as lists of integer numerators and denominators in row-major order.
 
     In the monomial basis a cell is pi_j sum_{k,l} c_ik c_jl mu_{t+k+l}.
-    With c_ik = N_ik / D_i and mu_m = A_m / B, row i first forms the
-    integers r_l = sum_k N_ik A_{t+k+l} once, and cell j is then
-    pi_j sum_l N_jl r_l / (D_i D_j B), one Fraction per cell.  At t = 0 the
-    cells are the Gram matrix C H C^T diag(pi), H being the Hankel matrix
-    of the normalized moments.
+    With c_ik = N_ik / D_i, mu_m = A_m / B and pi_j = p_j / S, row i first
+    forms the integers r_l = sum_k N_ik A_{t+k+l} once, and cell j is then
+    p_j sum_l N_jl r_l over S D_i B D_j.  At t = 0 the cells are the Gram
+    matrix C H C^T diag(pi), H being the Hankel matrix of the normalized
+    moments.
     """
     a, b = params.require_integral("engine='exact'")
     degree = max(cols)
     tops, bottom = _normalized_moments(t + max(rows) + degree, a, b)
     poly = {n: _coefficient_numerators(n, a, b) for n in {*rows, *cols}}
     pi, scale = _invariant_numerators(degree, params)
-    table = []
+    nums, dens = [], []
     for i in rows:
         nums_i, den_i = poly[i]
         shifted = [
             sum(map(operator.mul, nums_i, tops[t + l : t + l + i + 1])) for l in range(degree + 1)
         ]
-        table.append(
-            [
-                Fraction(
-                    pi[j] * sum(map(operator.mul, poly[j][0], shifted)),
-                    scale * den_i * poly[j][1] * bottom,
-                )
-                for j in cols
-            ]
-        )
-    return table
+        nums += [pi[j] * sum(map(operator.mul, poly[j][0], shifted)) for j in cols]
+        row_den = scale * den_i * bottom
+        dens += [row_den * poly[j][1] for j in cols]
+    return nums, dens
 
 
 def _symmetrized_recurrence(order, params: ModelParams):
@@ -377,6 +373,28 @@ def _christoffel_sum(xs, diag, off):
     return kernel
 
 
+def _raise_unresolved(order: int, bisected, diag, off) -> None:
+    """Raise NumericalError naming binary64's resolution if zeros collide.
+
+    Bisection narrows each bracket down to the spacing of the doubles, so
+    equal neighbours in ``bisected`` can be distinct zeros that round to
+    one double: 1 - 2**-53 when a huge alpha puts them within 1e-19 of 1.
+    The Sturm count confirms it when it finds two or more zeros between the
+    doubles on either side of the tied one.
+    """
+    tied = np.flatnonzero(np.diff(bisected) <= 0.0)
+    if not tied.size:
+        return
+    value = float(bisected[tied[0]])
+    above = _zeros_above(np.array([np.nextafter(value, -1.0), np.nextafter(value, 2.0)]), diag, off)
+    if above[0] - above[1] >= 2:
+        count = np.count_nonzero(bisected == value)
+        raise NumericalError(
+            f"Gauss rule of order {order}: {count} nodes round to the one double {value!r}; "
+            f"binary64 resolves only steps of {np.spacing(value):.3g} there"
+        )
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     """Nodes and weights of an M-point Gauss rule for the weight.
@@ -416,7 +434,8 @@ def gauss_jacobi_rule(order, params: ModelParams) -> QuadratureRule:
     times the squared first eigenvector components).  Raises
     NumericalError if the one-step law overflows binary64 (checked before
     any Newton sweep), if a node fails the root-count check even after
-    bisection, if the weight's total mass or a weight underflows, or if
+    bisection (named as binary64's resolution when distinct zeros round to
+    one double), if the weight's total mass or a weight underflows, or if
     the rule violates its validity invariants (node ordering and
     containment, weight positivity).
     """
@@ -439,9 +458,11 @@ def gauss_jacobi_rule(order, params: ModelParams) -> QuadratureRule:
     unverified = _unverified(xs.astype(float), step, diag, off)
     if unverified.any():
         lanes = np.flatnonzero(unverified)
-        xs[lanes], step[lanes] = _polish(_bisect(lanes, diag, off), diag, off)
+        bisected = _bisect(lanes, diag, off)
+        xs[lanes], step[lanes] = _polish(bisected, diag, off)
         unverified = _unverified(xs.astype(float), step, diag, off)
         if unverified.any():
+            _raise_unresolved(order, bisected, diag, off)
             raise NumericalError(
                 f"Gauss rule of order {order}: {np.count_nonzero(unverified)} nodes "
                 "fail the root-count check"
@@ -480,7 +501,7 @@ def integrate_quadrature(f, order, params: ModelParams) -> float:
 def _float_spectral_cells(t: int, rows, cols, params: ModelParams, order: int) -> np.ndarray:
     """Float pi_j * integral(x**t Q_i Q_j W) / total_mass for i in rows, j in cols.
 
-    The float twin of ``_exact_spectral_cells``, on the Gauss rule of the
+    The float twin of ``_exact_spectral_terms``, on the Gauss rule of the
     given order: one long-double ``_orthonormal_sweep`` tabulates
     p_n = Q_n / norm(Q_n) at the nodes, and the cells are the block
     (p_rows * w x**t) @ p_cols^T times sqrt(pi_j / pi_i), read off the float
@@ -516,5 +537,6 @@ def orthonormality_table(n_max, params: ModelParams, engine: str = "float"):
     check_engine(engine)
     degrees = range(n_max + 1)
     if engine == "exact":
-        return _exact_spectral_cells(0, degrees, degrees, params)
+        cells = list(map(Fraction, *_exact_spectral_terms(0, degrees, degrees, params)))
+        return [cells[i * len(degrees) : (i + 1) * len(degrees)] for i in degrees]
     return _float_spectral_cells(0, degrees, degrees, params, 2 * n_max + 1)

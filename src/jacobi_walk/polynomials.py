@@ -245,6 +245,11 @@ def poly_product(a, b) -> tuple[Fraction, ...]:
     return tuple(Fraction(c, den) for c in out)
 
 
+def _inverse_mass(a: int, b: int) -> int:
+    """N = (a+b+1) C(a+b, b), the integer with B(a+1, b+1) = 1 / N."""
+    return (a + b + 1) * math.comb(a + b, b)
+
+
 def total_mass(params: ModelParams, engine: str = "float"):
     """Integral of the bare weight over [0, 1] (the Beta function B(a+1, b+1)).
 
@@ -259,7 +264,7 @@ def total_mass(params: ModelParams, engine: str = "float"):
         k = min(a, b)
         if engine == "float" and k and k * (math.log(a + b) - math.log(k)) > 1076 * math.log(2):
             return 0.0
-        n = (a + b + 1) * math.comb(a + b, b)
+        n = _inverse_mass(a, b)
         return Fraction(1, n) if engine == "exact" else 1 / n
     a, b = params.require_float()
     return math.exp(math.lgamma(a + 1) + math.lgamma(b + 1) - math.lgamma(a + b + 2))
@@ -271,7 +276,7 @@ def _invariant_numerators(n_max: int, params: ModelParams) -> tuple[list[int], i
     return [
         (2 * i + a + b + 1) * math.comb(i + b, b) * math.comb(i + a + b, b)
         for i in range(n_max + 1)
-    ], total_mass(params, "exact").denominator
+    ], _inverse_mass(a, b)
 
 
 def invariant_measure_table(n_max, params: ModelParams, engine: str = "float") -> list:

@@ -527,6 +527,29 @@ class TestExitCodes:
             assert result.returncode == 3 and result.stdout == ""
             assert result.stderr == HUGE_EXPONENT_MESSAGE.format("beta")
 
+    @pytest.mark.parametrize("exponent", [20, 40, 154])
+    @pytest.mark.parametrize(
+        "argv, order",
+        [
+            (("quadrule", "--points", "3"), 3),
+            (("orthocheck", "--i-max", "2"), 5),
+            (("transition", "--method", "km", "--t", "2", "--i", "0", "--j-max", "2"), 3),
+        ],
+        ids=lambda value: value[0] if isinstance(value, tuple) else None,
+    )
+    def test_colliding_zeros_name_binary64_resolution(self, capsys, argv, order, exponent):
+        # every zero lies within about 1e-19 of 1, so bisection returns the
+        # one double 1 - 2**-53 for all of them
+        code, text = run_cli(*argv, "--alpha", str(10**exponent))
+        assert code == 3 and text == ""
+        assert capsys.readouterr().err == (
+            f"jacobi-walk: numerical failure: Gauss rule of order {order}: {order} nodes "
+            "round to the one double 0.9999999999999999; binary64 resolves only steps "
+            "of 1.11e-16 there\n"
+        )
+        if exponent == 20:  # the mirrored zeros near 1e-20 are resolved
+            assert run_cli(*argv, "--beta", str(10**exponent))[0] == 0
+
     @pytest.mark.parametrize(
         "argv",
         [
