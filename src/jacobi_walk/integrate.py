@@ -84,7 +84,8 @@ __all__ = [
 
 # Gauss rules: at most this many Newton sweeps in double, handing over to
 # the one long-double sweep once every step is within _HANDOVER of its
-# node's nearest gap; the complex step h (Im p(x + ih) = h p'(x)); the
+# node's nearest gap; the complex step h (Im p(x + ih) = h p'(x)) at nodes
+# in [1/2, 1), scaled by each node's power of two elsewhere; the
 # Bessel-started nodes at each end; a converged node's last step against its
 # nearest gap; the sections per Sturm sweep of the fallback and the
 # relative width at which it hands over to Newton.
@@ -258,16 +259,21 @@ def _newton_step(xs, steps):
 
     The sweep runs at the complex points xs + i h: its real part carries
     p_M and its imaginary part h p_M', both to O(h**2) relative, so value
-    and derivative share one pass of the plain recurrence.  It starts from
-    p_0 = 1, because the ratio does not depend on the scale.
+    and derivative share one pass of the plain recurrence.  h is _STEP
+    times the power of two of each node's binade, so it stays small against
+    the node however close to 0 the node lies, and is itself a power of two,
+    which keeps Im = h p_M' exact; an h that underflows gives a nan step,
+    which the root-count check rejects.  The sweep starts from p_0 = 1,
+    because the ratio does not depend on the scale.
     """
-    z = xs + _STEP * 1j
+    h = np.ldexp(xs.dtype.type(_STEP), np.frexp(xs)[1])
+    z = xs + h * 1j
     sweep = _three_term_sweep(z, np.ones_like(z), steps)
     # a wild start may overflow; the root-count check rejects what it yields
     with np.errstate(all="ignore"):
         for q in sweep:
             pass
-        return _STEP * q.real / q.imag
+        return h * q.real / q.imag
 
 
 def _nearest_gap(nodes):

@@ -24,6 +24,16 @@ wrapping arithmetic) implement the same function and are tested to match
 bit for bit.  The vectorized functions take uint64 arrays of one shape and
 raise ValueError otherwise: numpy would silently promote int64 lanes to
 float64 and return values of another stream.
+
+``raw_many`` and ``draw_below_many`` return the values and the advanced
+counters in two new arrays, or write them to ``out=(values, counters)``:
+two uint64 arrays of the lanes' shape, sharing memory with no input and
+not with each other, checked like the inputs.  A loop that passes the same
+two arrays on every step, and lets two counter arrays take turns as input
+and output, allocates no uint64 lane array per draw (the mix's scratch is
+the counter output before it is written); the C allocator would otherwise
+return freed lane-sized buffers to the kernel and fault them in again on
+the next step.
 """
 
 from __future__ import annotations
@@ -50,10 +60,11 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    """mix applied in place to z, a uint64 array the caller owns; returns z."""
+def _mix64_array(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """mix applied in place to z, a uint64 array the caller owns, through
+    scratch, a uint64 array of z's shape whose contents it overwrites;
+    returns z."""
     # uint64 arithmetic wraps, which is exactly the mod-2^64 we need
-    scratch = np.empty_like(z)
     z ^= np.right_shift(z, np.uint64(30), out=scratch)
     z *= np.uint64(_MIX1)
     z ^= np.right_shift(z, np.uint64(27), out=scratch)
@@ -75,7 +86,9 @@ def stream_keys(seed, start, count) -> np.ndarray:
     start = check_int(start, "start")
     count = check_int(count, "count")
     indices = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    return _mix64_array(np.uint64(_mix64(seed)) ^ (indices * np.uint64(_GAMMA2)))
+    keys = indices * np.uint64(_GAMMA2)
+    keys ^= np.uint64(_mix64(seed))
+    return _mix64_array(keys, indices)
 
 
 class CounterStream:
@@ -108,11 +121,15 @@ class CounterStream:
                 return raw % bound
 
 
-def _raws(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
-    """mix(key + counter * GAMMA) per lane, in a new array."""
-    raws = counters * np.uint64(_GAMMA)
+def _next_raws(keys, counters, raws, advanced) -> None:
+    """Write mix(key + (counter + 1) * GAMMA) to raws and counter + 1 to
+    advanced, lane by lane; advanced is the mix's scratch until the last
+    step."""
+    np.multiply(counters, np.uint64(_GAMMA), out=raws)
     raws += keys
-    return _mix64_array(raws)
+    raws += np.uint64(_GAMMA)
+    _mix64_array(raws, advanced)
+    np.add(counters, np.uint64(1), out=advanced)
 
 
 def _check_lanes(**arrays: np.ndarray) -> None:
@@ -125,39 +142,65 @@ def _check_lanes(**arrays: np.ndarray) -> None:
         raise ValueError(f"lane arrays must have one shape, got {shapes}")
 
 
-def raw_many(keys: np.ndarray, counters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _outputs(out, **inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (values, counters) arrays a draw writes: two new ones, or the
+    caller's ``out`` once each is checked to be a uint64 array of the
+    inputs' shape that shares memory with no input and not with the other."""
+    if out is None:
+        lanes = inputs["counters"]
+        return np.empty_like(lanes), np.empty_like(lanes)
+    values, advanced = out
+    outputs = {"out[0]": values, "out[1]": advanced}
+    _check_lanes(**inputs, **outputs)
+    for name, array in outputs.items():
+        for other, lanes in inputs.items():
+            if np.shares_memory(array, lanes):
+                raise ValueError(f"{name} shares memory with {other}")
+    if np.shares_memory(values, advanced):
+        raise ValueError("out[0] shares memory with out[1]")
+    return values, advanced
+
+
+def raw_many(
+    keys: np.ndarray, counters: np.ndarray, out=None
+) -> tuple[np.ndarray, np.ndarray]:
     """Next raw value of each substream; returns (raws, advanced counters).
 
     keys and counters are uint64 arrays of one shape; neither is modified.
+    The result is written to ``out=(raws, counters)`` if given, two uint64
+    arrays of that shape that share no memory with the inputs or each
+    other, and to two new arrays otherwise.
     """
     _check_lanes(keys=keys, counters=counters)
-    counters = counters + np.uint64(1)
-    return _raws(keys, counters), counters
+    raws, advanced = _outputs(out, keys=keys, counters=counters)
+    _next_raws(keys, counters, raws, advanced)
+    return raws, advanced
 
 
 def draw_below_many(
-    keys: np.ndarray, counters: np.ndarray, bounds: np.ndarray
+    keys: np.ndarray, counters: np.ndarray, bounds: np.ndarray, out=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized ``draw_below``: one bounded draw per substream.
 
     keys, counters and bounds are uint64 arrays of one shape, every bound
     at least 1; returns (values, advanced counters) and modifies none of
-    them.  Only lanes whose raw lies below its bound can be in the leftover
-    range; of those, the rejected ones redraw until accepted.  For the
-    urn's bounds, far below 2^32, a raw lies below its bound with
-    probability under 2^-32, so the redraw path almost never runs.
+    them.  ``out`` is as for ``raw_many``.  Only lanes whose raw lies below
+    its bound can be in the leftover range; of those, the rejected ones
+    redraw until accepted.  For the urn's bounds, far below 2^32, a raw
+    lies below its bound with probability under 2^-32, so the redraw path
+    almost never runs.
     """
     _check_lanes(keys=keys, counters=counters, bounds=bounds)
     if bounds.size and bounds.min() == 0:
         raise ValueError("every bound must be >= 1")
-    raws, counters = raw_many(keys, counters)
+    raws, advanced = _outputs(out, keys=keys, counters=counters, bounds=bounds)
+    _next_raws(keys, counters, raws, advanced)
     lanes = np.flatnonzero(raws < bounds)
     leftover = (np.uint64(0) - bounds[lanes]) % bounds[lanes]
     rejected = raws[lanes] < leftover
     while rejected.any():
         lanes, leftover = lanes[rejected], leftover[rejected]
-        counters[lanes] += np.uint64(1)
-        raws[lanes] = _raws(keys[lanes], counters[lanes])
+        raws[lanes], advanced[lanes] = raw_many(keys[lanes], advanced[lanes])
         rejected = raws[lanes] < leftover
     np.remainder(raws, bounds, out=raws)
-    return raws, counters
+    return raws, advanced

@@ -176,27 +176,33 @@ def _mechanism_chunk(
     """Terminal states of trajectories start..start+size-1, literal mechanism,
     all lanes advanced in lockstep (two bounded draws per step per lane)."""
     keys = stream_keys(seed, start, size)
-    counters = np.zeros(size, dtype=np.uint64)
+    # the lane arrays are allocated once per chunk and updated in place; the
+    # draws write picks and whichever counter array is not their input
+    counters, advanced = np.zeros(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
     states = np.full(size, n0, dtype=np.uint64)
+    totals, picks = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
+    blue, down, up = (np.empty(size, dtype=bool) for _ in range(3))
     for _ in range(t):
-        main_total = states * np.uint64(2)
-        main_total += np.uint64(a + b + 1)
-        main_pick, counters = draw_below_many(keys, counters, main_total)
-        blue = main_pick < states
+        np.multiply(states, np.uint64(2), out=totals)
+        totals += np.uint64(a + b + 1)
+        draw_below_many(keys, counters, totals, out=(picks, advanced))
+        counters, advanced = advanced, counters
+        np.less(picks, states, out=blue)
         # the auxiliary urn holds one ball more than the main urn after a
         # red draw, one fewer after a blue draw; subtracting the mask twice
         # beats np.where or a masked ufunc on lanes that mix both colors
-        aux_total = main_total + np.uint64(1)
-        aux_total -= blue
-        aux_total -= blue
-        aux_pick, counters = draw_below_many(keys, counters, aux_total)
+        totals += np.uint64(1)
+        totals -= blue
+        totals -= blue
+        draw_below_many(keys, counters, totals, out=(picks, advanced))
+        counters, advanced = advanced, counters
         # a match: blue drawn and a blue auxiliary pick (below n + a), or red
         # drawn and a red auxiliary pick (above n + a)
-        blue_side = states + np.uint64(a)
-        down = aux_pick < blue_side
+        blue_side = np.add(states, np.uint64(a), out=totals)
+        np.less(picks, blue_side, out=down)
         down &= blue
-        up = aux_pick > blue_side
-        up &= ~blue
+        np.greater(picks, blue_side, out=up)
+        up &= np.logical_not(blue, out=blue)
         states += up
         states -= down
     return np.bincount(states.astype(np.intp), minlength=n0 + t + 1).astype(np.int64)
@@ -214,14 +220,17 @@ def _coefficient_chunk(
     # float(raw) < x * 2^64 exactly when raw * 2^-64 < x
     down_below, stay_below = (x * 2.0**64 for x in thresholds)
     keys = stream_keys(seed, start, size)
-    counters = np.zeros(size, dtype=np.uint64)
+    counters, advanced = np.zeros(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
+    raws, raw_float = np.empty(size, dtype=np.uint64), np.empty(size)
     states = np.full(size, n0, dtype=np.int64)
+    down, up = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
     for _ in range(t):
-        raws, counters = raw_many(keys, counters)
-        raw_float = raws.astype(np.float64)
+        raw_many(keys, counters, out=(raws, advanced))
+        counters, advanced = advanced, counters
+        np.copyto(raw_float, raws)
         # down_below <= stay_below, so a lane never steps both ways
-        down = raw_float < down_below[states]
-        up = raw_float >= stay_below[states]
+        np.less(raw_float, down_below[states], out=down)
+        np.greater_equal(raw_float, stay_below[states], out=up)
         states += up
         states -= down
     return np.bincount(states, minlength=n0 + t + 1).astype(np.int64)

@@ -550,6 +550,27 @@ class TestExitCodes:
         if exponent == 20:  # the mirrored zeros near 1e-20 are resolved
             assert run_cli(*argv, "--beta", str(10**exponent))[0] == 0
 
+    @pytest.mark.parametrize("exponent", [20, 40, 154])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("quadrule", "--points", "3"),
+            ("orthocheck", "--i-max", "2"),
+            ("transition", "--method", "km", "--t", "2", "--i", "0", "--j-max", "2"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_zeros_near_zero_are_resolved(self, capsys, argv, exponent):
+        # the mirrored zeros lie near 10**-exponent, where Newton's complex
+        # step shrinks with the node; a fixed step failed the root count.
+        # At 10**154 the rule builds, and the cells scaled by pi then
+        # overflow binary64 past the rule (ROADMAP item 1)
+        code, text = run_cli(*argv, "--beta", str(10**exponent))
+        if exponent < 154 or argv[0] == "quadrule":
+            assert code == 0 and text
+        else:
+            assert code == 3 and "Gauss rule" not in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [

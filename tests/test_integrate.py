@@ -5,6 +5,7 @@ quadrature route must reproduce it on every polynomial inside its degree
 budget.  An M-point rule owes exactness through degree 2M - 1.
 """
 
+import hashlib
 import math
 import re
 from fractions import Fraction
@@ -397,6 +398,55 @@ class TestRootCountFallback:
         xs = np.linspace(-0.25, 1.25, 301)
         expected = (eigenvalues[None, :] > xs[:, None]).sum(axis=1)
         np.testing.assert_array_equal(integrate_module._zeros_above(xs, diag, off), expected)
+
+
+# Rules whose nodes lie on both sides of 1/2, singular weights and a
+# bisected one; at nodes below 1/2 the complex step is scaled to the node
+GRID_DIGEST_PAIRS = [(0, 0), (3, 5), (-0.99, 3.5), (-0.5, 2.75), (0.25, -0.9), (40, 3)]
+GRID_DIGEST = "bed504b2215686136d7eff2a5cc56f0882fefed0dbbe441eca8fb06d7d3cca57"
+
+
+class TestComplexStep:
+    """Newton's complex step h = 2**-80 * 2**e follows each node's binade."""
+
+    @pytest.mark.parametrize("exponent", [20, 40, 154])
+    def test_zeros_near_zero_scale_with_beta(self, exponent):
+        # as beta grows, beta * x_k tends to the zeros of the Laguerre
+        # polynomial L_3 (alpha = 0), within O(1/beta); a fixed h = 2**-80
+        # moved node 0 by 1.2e-8 relative at 10**20 and failed the
+        # root-count check at 10**40 and 10**154
+        beta = 10**exponent
+        rule = gauss_jacobi_rule(3, ModelParams(0, beta))
+        laguerre_zeros, laguerre_weights = np.polynomial.laguerre.laggauss(3)
+        assert rule.nodes * float(beta) == pytest.approx(laguerre_zeros, rel=1e-15)
+        assert rule.weights * (float(beta) + 1) == pytest.approx(laguerre_weights, rel=1e-15)
+
+    def test_grid_digest(self):
+        # the same bytes as with a fixed h on this grid
+        digest = hashlib.sha256()
+        for ab in GRID_DIGEST_PAIRS:
+            for order in [*range(1, 41), 97, 241]:
+                rule = gauss_jacobi_rule(order, ModelParams(*ab))
+                digest.update(rule.nodes.tobytes() + rule.weights.tobytes())
+        assert digest.hexdigest() == GRID_DIGEST
+
+    def test_underflowing_step_fails_the_check(self, monkeypatch):
+        # below 2**-994, h underflows binary64 to 0 and the double sweep's
+        # step is nan; such nodes end in the root-count message
+        tiny = 2.0**-1000
+        diag, off, _ = _symmetrized_recurrence(3, ModelParams(1, 1))
+        steps = integrate_module._recurrence_steps(diag, off, float)
+        assert np.isnan(integrate_module._newton_step(np.array([tiny]), steps)).all()
+        monkeypatch.setattr(
+            integrate_module, "_start_nodes", lambda order, a, b: tiny * np.arange(1.0, order + 1)
+        )
+        monkeypatch.setattr(
+            integrate_module, "_bisect", lambda lanes, diag, off: tiny * (lanes + 1.0)
+        )
+        gauss_jacobi_rule.cache_clear()
+        with pytest.raises(NumericalError, match="3 nodes fail the root-count check"):
+            gauss_jacobi_rule(3, ModelParams(1, 1))
+        gauss_jacobi_rule.cache_clear()
 
 
 class TestOrthonormalityTable:

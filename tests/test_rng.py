@@ -111,6 +111,52 @@ class TestVectorEquivalence:
         assert np.all(bounds == np.uint64(bound))
 
 
+# bounds that reject often (2^63 + 1 rejects almost half of all raws, so
+# lanes redraw in chains), never (1) or in between
+BOUNDS = st.sampled_from([1, 2, 3, 360, (1 << 63) + 1, (1 << 64) - 1]) | st.integers(1, (1 << 64) - 1)
+
+
+class TestDrawIntoOut:
+    """out=(values, counters) gives the fresh-array path's bits in place."""
+
+    @given(st.integers(0, 2**64 - 1), st.data())
+    def test_out_matches_fresh_arrays(self, seed, data):
+        lanes = data.draw(st.integers(1, 40))
+        keys = stream_keys(seed, data.draw(st.integers(0, 1000)), lanes)
+        counters = np.array(
+            data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=lanes, max_size=lanes)),
+            dtype=np.uint64,
+        )
+        bounds = np.array(
+            data.draw(st.lists(BOUNDS, min_size=lanes, max_size=lanes)), dtype=np.uint64
+        )
+        inputs = (keys, counters, bounds)
+        copies = [array.copy() for array in inputs]
+        for draw, args in ((raw_many, inputs[:2]), (draw_below_many, inputs)):
+            fresh = draw(*args)
+            # stale contents must not leak into the result
+            out = (np.full(lanes, 12345, np.uint64), np.full(lanes, 678, np.uint64))
+            result = draw(*args, out=out)
+            assert result[0] is out[0] and result[1] is out[1]
+            assert np.array_equal(result[0], fresh[0])
+            assert np.array_equal(result[1], fresh[1])
+            assert all(np.array_equal(a, b) for a, b in zip(inputs, copies))
+
+    def test_turn_taking_counters_match_fresh_redraw_chains(self):
+        keys = stream_keys(77, 0, 16)
+        bounds = np.full(16, (1 << 63) + 1, dtype=np.uint64)
+        fresh = np.zeros(16, dtype=np.uint64)
+        counters, advanced = np.zeros(16, dtype=np.uint64), np.empty(16, dtype=np.uint64)
+        values = np.empty(16, dtype=np.uint64)
+        for _ in range(50):
+            expected, fresh = draw_below_many(keys, fresh, bounds)
+            draw_below_many(keys, counters, bounds, out=(values, advanced))
+            counters, advanced = advanced, counters
+            assert np.array_equal(values, expected)
+            assert np.array_equal(counters, fresh)
+        assert int(counters.sum()) > 50 * 16 + 200  # redraws did happen
+
+
 class TestVectorValidation:
     """The vectorized draws take uint64 lanes of one shape; anything else
     would be promoted by numpy to float64 and give values of another stream."""
@@ -167,3 +213,41 @@ class TestVectorValidation:
         lanes["bounds"][3] = 0
         with pytest.raises(ValueError, match="bound"):
             draw_below_many(**lanes)
+
+    def draw_lanes(self, draw):
+        lanes = self.lanes()
+        if draw is raw_many:
+            del lanes["bounds"]
+        return lanes
+
+    @pytest.mark.parametrize(
+        "draw, alias",
+        [(raw_many, alias) for alias in ("keys", "counters", "out")]
+        + [(draw_below_many, alias) for alias in ("keys", "counters", "bounds", "out")],
+    )
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_out_aliasing_an_input_is_refused(self, draw, alias, slot):
+        lanes = self.draw_lanes(draw)
+        out = [np.empty(6, np.uint64), np.empty(6, np.uint64)]
+        if alias == "out":
+            out[slot] = out[1 - slot][::-1]
+            message = "out\\[0\\] shares memory with out\\[1\\]"
+        else:
+            out[slot] = lanes[alias][:]  # a view, not the same object
+            message = f"out\\[{slot}\\] shares memory with {alias}"
+        before = {name: array.copy() for name, array in lanes.items()}
+        with pytest.raises(ValueError, match=message):
+            draw(**lanes, out=tuple(out))
+        assert all(np.array_equal(lanes[name], before[name]) for name in lanes)
+
+    @pytest.mark.parametrize("draw", [raw_many, draw_below_many])
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_out_of_wrong_dtype_or_shape_is_refused(self, draw, slot):
+        lanes = self.draw_lanes(draw)
+        out = [np.empty(6, np.uint64), np.empty(6, np.uint64)]
+        out[slot] = np.empty(6, np.int64)
+        with pytest.raises(ValueError, match=f"out\\[{slot}\\] must be a uint64 array"):
+            draw(**lanes, out=tuple(out))
+        out[slot] = np.empty(5, np.uint64)
+        with pytest.raises(ValueError, match=f"shape.*'out\\[{slot}\\]': \\(5,\\)"):
+            draw(**lanes, out=tuple(out))

@@ -7,6 +7,7 @@ package's central cross-check.
 """
 
 import hashlib
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,7 @@ from jacobi_walk import (
     terminal_state_counts,
 )
 import jacobi_walk.urn as urn_module
+from jacobi_walk.polynomials import _step_table
 
 F = Fraction
 
@@ -236,6 +238,26 @@ class TestEnsembles:
         with pytest.raises(OverflowError) as failure:
             terminal_state_counts(5, 3, params, 2000, 1)
         assert str(failure.value) == f"{huge} exceeds the urn's uint64 limit 2**64 - 1"
+
+    @pytest.mark.parametrize("sampler", ["urn", "coefficients"])
+    def test_step_loop_holds_its_lane_arrays_once(self, sampler):
+        # a chunk allocates its lane arrays once and updates them in place:
+        # keys, two counters, states, totals or raws, picks or floats, masks
+        # and gathers come to about 58 bytes per lane.  A step loop that
+        # allocates its temporaries peaks at 91 (urn) and 66 (coefficients)
+        lanes, t = 1 << 16, 8
+        if sampler == "urn":
+            chunk, law = urn_module._mechanism_chunk, (3, 5)
+        else:
+            _, stay, down = _step_table(3 + t, ModelParams(3, 5), "float")
+            chunk, law = urn_module._coefficient_chunk, ((down, down + stay),)
+        tracemalloc.start()
+        try:
+            chunk(3, t, *law, 7, 0, lanes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * lanes
 
     def test_sampler_name_validated(self):
         with pytest.raises(ValueError):
