@@ -25,15 +25,12 @@ bit for bit.  The vectorized functions take uint64 arrays of one shape and
 raise ValueError otherwise: numpy would silently promote int64 lanes to
 float64 and return values of another stream.
 
-``raw_many`` and ``draw_below_many`` return the values and the advanced
-counters in two new arrays, or write them to ``out=(values, counters)``:
-two uint64 arrays of the lanes' shape, sharing memory with no input and
-not with each other, checked like the inputs.  A loop that passes the same
-two arrays on every step, and lets two counter arrays take turns as input
-and output, allocates no uint64 lane array per draw (the mix's scratch is
-the counter output before it is written); the C allocator would otherwise
-return freed lane-sized buffers to the kernel and fault them in again on
-the next step.
+``raw_many`` and ``draw_below_many`` write into ``out=(values, counters)``
+when given.  A loop that passes the same two arrays on every step, with two
+counter arrays taking turns as input and output, draws without allocating
+a uint64 lane array (the counter output is the mix's scratch before it is
+written); freed lane-sized buffers would otherwise go back to the kernel
+and fault in again on the next step.
 """
 
 from __future__ import annotations
