@@ -17,7 +17,9 @@ reduction would bias small residues by about m / 2^64; negligible here, but
 avoidable, so avoided.  The leftover 2^64 mod m is below m, so a raw at or
 above its bound is never rejected: the vectorized path compares each raw
 with its bound, computes the leftover only on the rare lanes below it and
-redraws only those it rejects, then reduces in place.
+redraws only those it rejects, then reduces in place.  No raw lies below a
+zero bound, so such a lane skips the redraw path and is caught by the
+reduction's division by zero, with no separate pass over the bounds.
 
 The scalar path (Python ints) and the vectorized path (uint64 arrays with
 wrapping arithmetic) implement the same function and are tested to match
@@ -30,7 +32,8 @@ when given.  A loop that passes the same two arrays on every step, with two
 counter arrays taking turns as input and output, draws without allocating
 a uint64 lane array (the counter output is the mix's scratch before it is
 written); freed lane-sized buffers would otherwise go back to the kernel
-and fault in again on the next step.
+and fault in again on the next step.  Inputs and ``out`` are checked once
+per call; a call that raises leaves ``out`` holding unspecified values.
 """
 
 from __future__ import annotations
@@ -140,10 +143,12 @@ def _check_lanes(**arrays: np.ndarray) -> None:
 
 
 def _outputs(out, **inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (values, counters) arrays a draw writes: two new ones, or the
-    caller's ``out`` once each is checked to be a uint64 array of the
-    inputs' shape that shares memory with no input and not with the other."""
+    """The (values, counters) arrays a draw writes, once the inputs and
+    ``out`` are checked: two new ones, or the caller's ``out`` if each is a
+    uint64 array of the inputs' shape that shares memory with no input and
+    not with the other."""
     if out is None:
+        _check_lanes(**inputs)
         lanes = inputs["counters"]
         return np.empty_like(lanes), np.empty_like(lanes)
     values, advanced = out
@@ -168,7 +173,6 @@ def raw_many(
     arrays of that shape that share no memory with the inputs or each
     other, and to two new arrays otherwise.
     """
-    _check_lanes(keys=keys, counters=counters)
     raws, advanced = _outputs(out, keys=keys, counters=counters)
     _next_raws(keys, counters, raws, advanced)
     return raws, advanced
@@ -181,23 +185,28 @@ def draw_below_many(
 
     keys, counters and bounds are uint64 arrays of one shape, every bound
     at least 1; returns (values, advanced counters) and modifies none of
-    them.  ``out`` is as for ``raw_many``.  Only lanes whose raw lies below
-    its bound can be in the leftover range; of those, the rejected ones
-    redraw until accepted.  For the urn's bounds, far below 2^32, a raw
-    lies below its bound with probability under 2^-32, so the redraw path
-    almost never runs.
+    them.  ``out`` is as for ``raw_many``; if the call raises, what it holds
+    is unspecified.  Only lanes whose raw lies below its bound can be in
+    the leftover range; of those, the rejected ones redraw until accepted.
+    For the urn's bounds, far below 2^32, a raw lies below its bound with
+    probability under 2^-32, so the redraw path almost never runs.  No raw
+    lies below a zero bound, so such a lane reaches the final reduction,
+    whose division by zero raises ValueError.
     """
-    _check_lanes(keys=keys, counters=counters, bounds=bounds)
-    if bounds.size and bounds.min() == 0:
-        raise ValueError("every bound must be >= 1")
     raws, advanced = _outputs(out, keys=keys, counters=counters, bounds=bounds)
     _next_raws(keys, counters, raws, advanced)
-    lanes = np.flatnonzero(raws < bounds)
+    # a tuple of index arrays addresses lanes of any shape
+    lanes = np.nonzero(raws < bounds)
     leftover = (np.uint64(0) - bounds[lanes]) % bounds[lanes]
     rejected = raws[lanes] < leftover
     while rejected.any():
-        lanes, leftover = lanes[rejected], leftover[rejected]
+        lanes = tuple(index[rejected] for index in lanes)
+        leftover = leftover[rejected]
         raws[lanes], advanced[lanes] = raw_many(keys[lanes], advanced[lanes])
         rejected = raws[lanes] < leftover
-    np.remainder(raws, bounds, out=raws)
+    try:
+        with np.errstate(divide="raise"):
+            np.remainder(raws, bounds, out=raws)
+    except FloatingPointError:
+        raise ValueError("every bound must be >= 1") from None
     return raws, advanced

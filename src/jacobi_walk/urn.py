@@ -39,13 +39,16 @@ dtype of the draws, and moves a lane by adding its up mask and subtracting
 its down mask.  A vectorized sampler that draws from the float one-step
 law directly (one draw per step) is available as sampler="coefficients";
 it is a labeled fast path and is excluded from mechanism-agreement tests.
-It compares float(raw) with the law's thresholds scaled by 2^64: scaling
-by a power of two is exact, so each compare decides as u = raw * 2^-64
-against the unscaled threshold would.
+It decides each step as u = raw * 2^-64 against the law's float
+thresholds would, in uint64: float(raw) < x * 2^64 exactly when raw lies
+below L(x), the least integer whose double reaches x * 2^64, so the
+thresholds become per-state integer tables and no raw is cast to float.
+A law that overflows binary64 is refused before any draw.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,7 +56,7 @@ from typing import Literal
 
 import numpy as np
 
-from .model import ModelParams, check_int
+from .model import ModelParams, NumericalError, check_int
 from .polynomials import _step_table
 from .rng import _MASK, CounterStream, draw_below_many, raw_many, stream_keys
 
@@ -208,6 +211,36 @@ def _mechanism_chunk(
     return np.bincount(states.astype(np.intp), minlength=n0 + t + 1).astype(np.int64)
 
 
+def _raw_threshold(x: float) -> int:
+    """L(x), the least integer r >= 0 with float(r) >= x * 2^64, or 2^64 if
+    no raw reaches it; float(raw) < x * 2^64 exactly when raw < L(x).
+
+    Integers up to 2^53 are doubles, so there L is the ceiling.  Above it
+    the target is an integer double and float(r) reaches it from the
+    midpoint with the double below on: the ceiling of that midpoint, or
+    the integer above it when the midpoint is a tie that rounds down.
+    """
+    target = x * 2.0**64  # scaling by a power of two is exact
+    if target <= 2.0**53:
+        return max(0, math.ceil(target))
+    if target > 2.0**64:
+        return 1 << 64
+    r = -(-(int(math.nextafter(target, 0)) + int(target)) // 2)
+    return r if float(r) >= target else r + 1
+
+
+def _raw_tables(thresholds: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """uint64 tables of L(down) and L(down + stay) - 1 from the float
+    thresholds (down, down + stay): a lane steps down when raw < L(down),
+    that is float(raw) < down * 2^64, and up when raw > L(down + stay) - 1.
+    A finite law has down < 1/2 and down + stay > 0, so both fit in uint64."""
+    down, top = (table.tolist() for table in thresholds)
+    return (
+        np.array([_raw_threshold(x) for x in down], dtype=np.uint64),
+        np.array([_raw_threshold(x) - 1 for x in top], dtype=np.uint64),
+    )
+
+
 def _coefficient_chunk(
     n0: int,
     t: int,
@@ -217,20 +250,20 @@ def _coefficient_chunk(
     size: int,
 ) -> np.ndarray:
     """Fast path: one categorical draw per step from the float one-step law."""
-    # float(raw) < x * 2^64 exactly when raw * 2^-64 < x
-    down_below, stay_below = (x * 2.0**64 for x in thresholds)
+    down_below, up_above = _raw_tables(thresholds)
     keys = stream_keys(seed, start, size)
     counters, advanced = np.zeros(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
-    raws, raw_float = np.empty(size, dtype=np.uint64), np.empty(size)
-    states = np.full(size, n0, dtype=np.int64)
+    raws, gathered = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
+    states = np.full(size, n0, dtype=np.intp)
     down, up = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
     for _ in range(t):
         raw_many(keys, counters, out=(raws, advanced))
         counters, advanced = advanced, counters
-        np.copyto(raw_float, raws)
-        # down_below <= stay_below, so a lane never steps both ways
-        np.less(raw_float, down_below[states], out=down)
-        np.greater_equal(raw_float, stay_below[states], out=up)
+        # a lane's state lies in 0..n0+t, the tables' length, so the gathers
+        # clip nothing (mode="raise" would buffer its output); L(down) <=
+        # L(down + stay), so a lane never steps both ways
+        np.less(raws, np.take(down_below, states, out=gathered, mode="clip"), out=down)
+        np.greater(raws, np.take(up_above, states, out=gathered, mode="clip"), out=up)
         states += up
         states -= down
     return np.bincount(states, minlength=n0 + t + 1).astype(np.int64)
@@ -283,7 +316,14 @@ def terminal_state_counts(
         def run(start: int, size: int) -> np.ndarray:
             return _mechanism_chunk(n0, t, a, b, seed, start, size)
     else:
-        _, stay, down = _step_table(n0 + t, params, "float")
+        law = _step_table(n0 + t, params, "float")
+        finite = np.isfinite(law).all(axis=0)
+        if not finite.all():
+            raise NumericalError(
+                "coefficients sampler: the one-step law overflows binary64 "
+                f"at state {np.argmin(finite)}"
+            )
+        _, stay, down = law
         thresholds = (down, down + stay)
         def run(start: int, size: int) -> np.ndarray:
             return _coefficient_chunk(n0, t, thresholds, seed, start, size)

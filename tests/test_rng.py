@@ -142,6 +142,24 @@ class TestDrawIntoOut:
             assert np.array_equal(result[1], fresh[1])
             assert all(np.array_equal(a, b) for a, b in zip(inputs, copies))
 
+    @pytest.mark.parametrize("draw", [raw_many, draw_below_many])
+    @pytest.mark.parametrize("into_out", [False, True])
+    def test_lanes_of_any_shape_give_the_flat_draws(self, draw, into_out):
+        # 2^63 + 1 sends about half the lanes down the redraw path, which
+        # must address lanes by all their indices, not a flat number
+        keys = stream_keys(77, 0, 16)
+        inputs = (keys, np.zeros(16, np.uint64), np.full(16, (1 << 63) + 1, np.uint64))
+        inputs = inputs[: 2 if draw is raw_many else 3]
+        flat = draw(*inputs)
+        grid = tuple(array.reshape(4, 4) for array in inputs)
+        copies = [array.copy() for array in grid]
+        out = (np.empty((4, 4), np.uint64), np.empty((4, 4), np.uint64)) if into_out else None
+        values, counters = draw(*grid, out=out)
+        assert values.shape == counters.shape == (4, 4)
+        assert np.array_equal(values.ravel(), flat[0])
+        assert np.array_equal(counters.ravel(), flat[1])
+        assert all(np.array_equal(a, b) for a, b in zip(grid, copies))
+
     def test_turn_taking_counters_match_fresh_redraw_chains(self):
         keys = stream_keys(77, 0, 16)
         bounds = np.full(16, (1 << 63) + 1, dtype=np.uint64)
@@ -213,6 +231,15 @@ class TestVectorValidation:
         lanes["bounds"][3] = 0
         with pytest.raises(ValueError, match="bound"):
             draw_below_many(**lanes)
+
+    def test_rejects_zero_bound_into_out(self):
+        lanes = self.lanes()
+        lanes["bounds"][3] = 0
+        before = {name: array.copy() for name, array in lanes.items()}
+        out = (np.empty(6, np.uint64), np.empty(6, np.uint64))
+        with pytest.raises(ValueError, match="bound"):
+            draw_below_many(**lanes, out=out)
+        assert all(np.array_equal(lanes[name], before[name]) for name in lanes)
 
     def draw_lanes(self, draw):
         lanes = self.lanes()

@@ -7,6 +7,7 @@ package's central cross-check.
 """
 
 import hashlib
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from jacobi_walk import (
     CounterStream,
     ModelParams,
+    NumericalError,
     estimate_transition,
     simulate_step,
     simulate_trajectory,
@@ -230,6 +232,14 @@ class TestEnsembles:
         # the coefficients sampler keeps no urn and is not limited
         assert terminal_state_counts(5, 3, params, 10, 1, sampler="coefficients").sum() == 10
 
+    @pytest.mark.parametrize("huge", ["alpha", "beta"])
+    def test_coefficient_sampler_refuses_an_overflowing_law(self, huge):
+        # at 10**300 the float law is nan from state 1 on; every compare with
+        # nan is False, so the lanes would stand still (alpha) or climb (beta)
+        params = ModelParams(**{"alpha": 0, "beta": 0, huge: 10**300})
+        with pytest.raises(NumericalError, match="one-step law overflows binary64 at state 1"):
+            terminal_state_counts(5, 3, params, 1000, 1, sampler="coefficients")
+
     @pytest.mark.parametrize("value", [2**64, 10**400])
     @pytest.mark.parametrize("huge", ["alpha", "beta"])
     def test_exponent_past_uint64_is_named_without_digits(self, huge, value):
@@ -262,6 +272,83 @@ class TestEnsembles:
     def test_sampler_name_validated(self):
         with pytest.raises(ValueError):
             terminal_state_counts(0, 1, ModelParams(0, 0), 10, 1, sampler="magic")
+
+
+def _check_threshold(threshold, x, raw):
+    """Assert that raw < threshold(x) decides as float(raw) < x * 2^64, the
+    down compare, and raw > threshold(x) - 1 as float(raw) >= x * 2^64, the
+    up compare."""
+    bound, target = threshold(x), x * 2.0**64
+    assert (raw < bound) == (float(raw) < target)
+    assert (raw > bound - 1) == (float(raw) >= target)
+
+
+# thresholds of both kinds: down (0 at state 0, subnormal to below 1/2) and
+# down + stay (up to 1.0, or a few ulps above when the sum rounds up); 2^-11
+# scales to 2^53, where the integers stop being doubles
+THRESHOLD_EDGES = [
+    0.0, 5e-324, math.nextafter(2.0**-1022, 0), 2.0**-1022, 2.0**-64,
+    math.nextafter(2.0**-11, 0), 2.0**-11, math.nextafter(2.0**-11, 1), 0.25, 0.5,
+    1 - 2.0**-53, 1.0, 1 + 2.0**-52, 1 + 2.0**-51,
+]
+THRESHOLDS = (
+    st.sampled_from(THRESHOLD_EDGES)
+    | st.floats(0.0, 1 + 2.0**-51)
+    | st.floats(2.0**-12, 2.0**-10)
+    | st.floats(0.0, 2.0**-1000)
+)
+RAW_EDGES = [2**53, 2**63, 2**64 - 1]
+
+
+class TestRawThresholds:
+    """The coefficients sampler compares raws with integers L(x) in place
+    of float(raw) with x * 2^64.  A raw hits one given integer with
+    probability 2^-64, so only these tests, not the golden digests, would
+    see an off-by-one in L."""
+
+    @given(THRESHOLDS, st.integers(0, 2**64 - 1))
+    def test_integer_compare_decides_as_the_float_one(self, x, drawn):
+        bound = urn_module._raw_threshold(x)
+        assert 0 <= bound <= 2**64
+        for raw in {bound - 1, bound, bound + 1, drawn, *RAW_EDGES}:
+            if 0 <= raw < 2**64:
+                _check_threshold(urn_module._raw_threshold, x, raw)
+
+    # hand: 2^53 + 1 and 2^64 - 2^10 are ties that round to the even 2^53
+    # and 2^64; above 1, x * 2^64 exceeds every double a raw rounds to
+    @pytest.mark.parametrize(
+        "x, bound",
+        [
+            (0.0, 0),
+            (5e-324, 1),
+            (2.0**-11, 2**53),
+            (math.nextafter(2.0**-11, 1), 2**53 + 2),
+            (1.0, 2**64 - 2**10),
+            (1 + 2.0**-52, 2**64),
+        ],
+    )
+    def test_hand_values(self, x, bound):
+        assert urn_module._raw_threshold(x) == bound
+
+    @pytest.mark.parametrize("off", [-1, 1])
+    @pytest.mark.parametrize("x", [2.0**-64, 0.25, math.nextafter(2.0**-11, 1), 1.0])
+    def test_check_fails_an_off_by_one(self, x, off):
+        planted = lambda y: urn_module._raw_threshold(y) + off
+        bound = urn_module._raw_threshold(x)
+        with pytest.raises(AssertionError):
+            for raw in (bound - 1, bound):
+                _check_threshold(planted, x, raw)
+
+    def test_tables_hold_the_compares_in_uint64(self):
+        # an up threshold above 1 leaves no raw above its table entry
+        _, stay, down = _step_table(12, ModelParams(2, 3), "float")
+        top = np.append(down + stay, 1 + 2.0**-52)
+        down = np.append(down, 0.25)
+        down_below, up_above = urn_module._raw_tables((down, top))
+        assert down_below.dtype == up_above.dtype == np.uint64
+        assert down_below.tolist() == [urn_module._raw_threshold(x) for x in down.tolist()]
+        assert up_above.tolist() == [urn_module._raw_threshold(x) - 1 for x in top.tolist()]
+        assert down_below[0] == 0 and up_above[-1] == 2**64 - 1
 
 
 GRID_TRAJECTORIES = [
