@@ -275,12 +275,9 @@ class TestEnsembles:
 
 
 def _check_threshold(threshold, x, raw):
-    """Assert that raw < threshold(x) decides as float(raw) < x * 2^64, the
-    down compare, and raw > threshold(x) - 1 as float(raw) >= x * 2^64, the
-    up compare."""
-    bound, target = threshold(x), x * 2.0**64
-    assert (raw < bound) == (float(raw) < target)
-    assert (raw > bound - 1) == (float(raw) >= target)
+    """Assert that raw < threshold(x) decides as float(raw) < x * 2^64; the
+    up compare, raw > threshold(x) - 1, is its negation."""
+    assert (raw < threshold(x)) == (float(raw) < x * 2.0**64)
 
 
 # thresholds of both kinds: down (0 at state 0, subnormal to below 1/2) and
