@@ -7,12 +7,12 @@ contain a decimal point; float-mode cells use repr's shortest round-trip
 decimal form.  CSV has a header row, UTF-8, LF line endings.  JSON is an
 array of row objects keyed by the column names, exact cells as strings.
 
-The exact tables (coeffs, transition by matrix or km, stationary,
-orthocheck) come from the library's integer cores as numerators over
-denominators, and each cell is formatted from those integers exactly as
-str(Fraction) prints it, without forming a Fraction; the library's public
-functions still return Fractions.  Only ``eval`` runs its exact sweep on
-Fractions, which it turns into text before rendering.
+Every exact column is text before ``render``: the exact tables (coeffs,
+transition by matrix or km, stationary, orthocheck) format each cell from
+their library integer core's numerators and denominators exactly as
+str(Fraction) prints it, without forming a Fraction (the library's public
+functions still return Fractions), and ``eval`` takes str() of the
+Fractions of its exact sweep.
 
 Exit codes: 0 success, 2 argument error (message names the offending
 flag; an unwritable --output counts as one), 3 numerical failure (e.g. a
@@ -33,7 +33,7 @@ import math
 import sys
 from fractions import Fraction
 from functools import cache
-from itertools import zip_longest
+from itertools import repeat, zip_longest
 
 import numpy as np
 
@@ -71,26 +71,9 @@ def _ratio_text(num: int, den: int) -> str:
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
-class _Ratios:
-    """An exact column kept as integers: cell k is nums[k] / dens[k].
-
-    Iterating yields the cells as Fractions, as the library functions return
-    them; ``render`` prints them with ``_ratio_text`` and forms none.
-    """
-
-    def __init__(self, nums: list, dens) -> None:
-        # one int denominator serves every cell
-        self.nums = nums
-        self.dens = [dens] * len(nums) if isinstance(dens, int) else dens
-
-    def __len__(self) -> int:
-        return len(self.nums)
-
-    def __iter__(self):
-        return map(Fraction, self.nums, self.dens)
-
-    def text(self) -> list[str]:
-        return list(map(_ratio_text, self.nums, self.dens))
+def _texts(nums, dens) -> list[str]:
+    """Exact cells nums[k] / dens[k] as text; one int ``dens`` serves every cell."""
+    return list(map(_ratio_text, nums, repeat(dens) if isinstance(dens, int) else dens))
 
 
 def _int_at_least(minimum: int):
@@ -232,7 +215,7 @@ def cmd_coeffs(args, params: ModelParams) -> dict:
         (nu, du), (ns, ds), (nd, dd) = law = _law_table(args.n_max, params, "exact")
         # the sum in integers over the product of the three denominators
         law += ((nu * ds * dd + ns * du * dd + nd * du * ds, du * ds * dd),)
-        up, stay, down, total = (_Ratios(nums.tolist(), dens.tolist()) for nums, dens in law)
+        up, stay, down, total = (_texts(nums, dens) for nums, dens in law)
     else:  # the float sum adds up + stay + down in the order of StepCoefficients.total
         up, stay, down = _step_table(args.n_max, params, "float")
         total = up + stay + down
@@ -273,9 +256,9 @@ def cmd_transition(args, params: ModelParams) -> dict:
             raise UsageError(f"--method {args.method} takes no {', '.join(given)} (mc only)")
         if args.engine == "exact":
             if args.method == "km":
-                row = _Ratios(*_exact_spectral_row(args.t, args.i, params, args.j_max))
+                row = _texts(*_exact_spectral_row(args.t, args.i, params, args.j_max))
             else:
-                row = _Ratios(*_power_row(args.t, args.i, args.j_max, params, "exact"))
+                row = _texts(*_power_row(args.t, args.i, args.j_max, params, "exact"))
         elif args.method == "km":
             row = spectral_transition_row(args.t, args.i, params, args.j_max, "float")
         else:
@@ -290,7 +273,7 @@ def cmd_transition(args, params: ModelParams) -> dict:
 def cmd_stationary(args, params: ModelParams) -> dict:
     if args.engine == "exact":
         (pi, scale), (errors, scaled) = _residual_terms(args.n_max + 1, params, "exact")
-        pi, residuals = _Ratios(pi, scale), _Ratios(errors.tolist(), scaled.tolist())
+        pi, residuals = _texts(pi, scale), _texts(errors, scaled)
     else:
         pi, residuals = stationarity_residuals(args.n_max + 1, params, "float")
     return {"i": range(args.n_max + 1), "pi": pi, "residual": residuals}
@@ -299,7 +282,7 @@ def cmd_stationary(args, params: ModelParams) -> dict:
 def cmd_orthocheck(args, params: ModelParams) -> dict:
     if args.engine == "exact":
         degrees = range(args.i_max + 1)
-        value = _Ratios(*_exact_spectral_terms(0, degrees, degrees, params))
+        value = _texts(*_exact_spectral_terms(0, degrees, degrees, params))
     else:
         value = np.ravel(orthonormality_table(args.i_max, params, "float"))
     i, j = np.divmod(np.arange((args.i_max + 1) ** 2), args.i_max + 1)
@@ -333,8 +316,6 @@ def _check_finite(columns: dict) -> None:
 
 def _cells(column) -> list:
     """A column's cells as ``render`` prints them: plain ints, floats and text."""
-    if isinstance(column, _Ratios):
-        return column.text()
     # tolist yields plain ints and floats
     return column.tolist() if isinstance(column, np.ndarray) else column
 
@@ -360,7 +341,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         columns = args.run(args, ModelParams(args.alpha, args.beta))
-        if args.engine == "float":  # exact tables hold only integers and their ratios
+        if args.engine == "float":  # exact tables hold only integers and text
             _check_finite(columns)
     except UsageError as exc:
         print(f"jacobi-walk: error: {exc}", file=sys.stderr)

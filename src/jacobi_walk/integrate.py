@@ -401,6 +401,13 @@ def _raise_unresolved(order: int, bisected, diag, off) -> None:
         )
 
 
+def _raise_underflow(order: int, weights) -> None:
+    """Raise NumericalError counting the weights that round to 0.0, if any."""
+    zeros = np.count_nonzero(weights == 0.0)
+    if zeros:
+        raise NumericalError(f"Gauss rule of order {order}: {zeros} weights underflow binary64")
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     """Nodes and weights of an M-point Gauss rule for the weight.
@@ -441,7 +448,8 @@ def gauss_jacobi_rule(order, params: ModelParams) -> QuadratureRule:
     NumericalError if the one-step law overflows binary64 (checked before
     any Newton sweep), if a node fails the root-count check even after
     bisection (named as binary64's resolution when distinct zeros round to
-    one double), if the weight's total mass or a weight underflows, or if
+    one double, and as an underflow when some weights at the polished nodes
+    round to 0.0), if the weight's total mass or a weight underflows, or if
     the rule violates its validity invariants (node ordering and
     containment, weight positivity).
     """
@@ -469,26 +477,26 @@ def gauss_jacobi_rule(order, params: ModelParams) -> QuadratureRule:
         unverified = _unverified(xs.astype(float), step, diag, off)
         if unverified.any():
             _raise_unresolved(order, bisected, diag, off)
-            raise NumericalError(
-                f"Gauss rule of order {order}: {np.count_nonzero(unverified)} nodes "
-                "fail the root-count check"
-            )
-    nodes = xs.astype(float)
     if not mass > 0.0:
         raise NumericalError(
             f"Gauss rule of order {order}: the weight's total mass underflows to {mass!r}"
         )
     weights = (np.longdouble(mass) / _christoffel_sum(xs, diag, off)).astype(float)
+    if unverified.any():
+        # the end nodes of a huge exponent can fail the check while their
+        # weights lie below the double range; the unverified ones may be nan
+        _raise_underflow(order, weights)
+        raise NumericalError(
+            f"Gauss rule of order {order}: {np.count_nonzero(unverified)} nodes "
+            "fail the root-count check"
+        )
+    nodes = xs.astype(float)
     if not (np.all(nodes > 0.0) and np.all(nodes < 1.0) and np.all(np.diff(nodes) > 0.0)):
         raise NumericalError(f"Gauss rule of order {order}: nodes violate (0, 1) ordering")
     # a negative weight, also one that underflows to -0.0, or a nan weight
     if np.any(np.signbit(weights) | np.isnan(weights)):
         raise NumericalError(f"Gauss rule of order {order}: nonpositive weight")
-    if not np.all(weights > 0.0):
-        raise NumericalError(
-            f"Gauss rule of order {order}: {np.count_nonzero(weights == 0.0)} weights "
-            "underflow binary64"
-        )
+    _raise_underflow(order, weights)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return QuadratureRule(order=order, params=params, nodes=nodes, weights=weights)

@@ -140,6 +140,8 @@ def _check_lanes(**arrays: np.ndarray) -> None:
     shapes = {name: lanes.shape for name, lanes in arrays.items()}
     if len(set(shapes.values())) > 1:
         raise ValueError(f"lane arrays must have one shape, got {shapes}")
+    if () in shapes.values():
+        raise ValueError("lane arrays must have at least one dimension, got shape ()")
 
 
 def _outputs(out, **inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -168,7 +170,8 @@ def raw_many(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Next raw value of each substream; returns (raws, advanced counters).
 
-    keys and counters are uint64 arrays of one shape; neither is modified.
+    keys and counters are uint64 arrays of one shape, with at least one
+    dimension; neither is modified.
     The result is written to ``out=(raws, counters)`` if given, two uint64
     arrays of that shape that share no memory with the inputs or each
     other, and to two new arrays otherwise.

@@ -84,6 +84,9 @@ OVERFLOWS = [
     ),
 ]
 
+# (alpha, beta) whose Gauss rule of order 600 has weights below the double range
+UNDERFLOWING_WEIGHTS = [(300, 0), (1000, 5), (5, 1000), (1000, 0), (0, 1000), (1000, 20)]
+
 
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
@@ -485,10 +488,14 @@ class TestExitCodes:
             "the weight's total mass underflows to 0.0\n"
         )
 
-    def test_underflowed_weights_are_one_line(self):
-        # at (300, 0) some of the 600 weights lie below the smallest
-        # subnormal, and none is negative
-        result = run_module("quadrule", "--points", "600", "--alpha", "300")
+    @pytest.mark.parametrize("alpha, beta", UNDERFLOWING_WEIGHTS)
+    def test_underflowed_weights_are_one_line(self, alpha, beta):
+        # some of the 600 weights lie below the smallest subnormal, and none
+        # is negative; past (300, 0) a few end nodes also fail the root-count
+        # check after bisection, and the underflow is still what is named
+        result = run_module(
+            "quadrule", "--points", "600", "--alpha", str(alpha), "--beta", str(beta)
+        )
         assert result.returncode == 3 and result.stdout == ""
         assert re.fullmatch(
             "jacobi-walk: numerical failure: Gauss rule of order 600: "
@@ -671,10 +678,14 @@ class TestOutputsAndDeterminism:
 
 
 def exact_checks(n_max, params):
-    """The exact stationarity residuals and coeffs sums over states 0..n_max."""
+    """The exact stationarity residual and coeffs sum columns over states 0..n_max.
+
+    Both are text in lowest terms, so a residual prints "0" exactly when it
+    is zero and a sum prints "1" exactly when it is one.
+    """
     args = Namespace(n_max=n_max, engine="exact")
     residuals = cli_module.cmd_stationary(args, params)["residual"]
-    return residuals, list(cli_module.cmd_coeffs(args, params)["sum"])
+    return residuals, cli_module.cmd_coeffs(args, params)["sum"]
 
 
 def fraction_constructions(call, *args):
@@ -708,16 +719,14 @@ class TestExactChecksAreComputed:
         monkeypatch.setattr(chain_module, "_law_table", planted)
         monkeypatch.setattr(cli_module, "_law_table", planted)
         residuals, sums = exact_checks(20, ModelParams(3, 5))
-        assert [n for n, r in enumerate(residuals) if r != 0] == [k + shows_at]
-        assert [n for n, s in enumerate(sums) if s != 1] == [k]
+        assert [n for n, r in enumerate(residuals) if r != "0"] == [k + shows_at]
+        assert [n for n, s in enumerate(sums) if s != "1"] == [k]
 
     @pytest.mark.parametrize("a", range(7))
     def test_true_law_checks_out(self, a):
         for b in range(7):
             residuals, sums = exact_checks(400, ModelParams(a, b))
-            assert len(residuals) == 400 and len(sums) == 401
-            assert all(type(r) is Fraction and r == 0 for r in residuals)
-            assert all(type(s) is Fraction and s == 1 for s in sums)
+            assert residuals == ["0"] * 400 and sums == ["1"] * 401
 
     def test_stationary_builds_at_most_two_fractions_per_state(self):
         calls = fraction_constructions(stationarity_residuals, 401, ModelParams(3, 5), "exact")
@@ -728,6 +737,26 @@ class TestExactChecksAreComputed:
         assert main(argv + ["--output", str(tmp_path / "warm.csv")]) == 0
         calls = fraction_constructions(main, argv + ["--output", str(tmp_path / "table.csv")])
         assert calls <= 4 * 401
+
+
+@pytest.mark.parametrize(
+    "command, method, exact",
+    [
+        ("coeffs", None, ("up", "stay", "down", "sum")),
+        ("transition", "matrix", ("probability",)),
+        ("transition", "km", ("probability",)),
+        ("stationary", None, ("pi", "residual")),
+        ("orthocheck", None, ("value",)),
+    ],
+)
+def test_exact_columns_leave_their_command_as_text(command, method, exact):
+    args = Namespace(
+        engine="exact", n_max=6, t=5, i=2, j_max=8, i_max=3, method=method,
+        trajectories=None, seed=None, threads=None,
+    )
+    columns = getattr(cli_module, f"cmd_{command}")(args, ModelParams(3, 5))
+    for name in exact:
+        assert type(columns[name]) is list and all(type(c) is str for c in columns[name])
 
 
 class TestMonteCarloCommands:

@@ -146,12 +146,17 @@ class TestGaussRule:
         with pytest.raises(ValueError, match="must match the rule's nodes in shape"):
             rule.integrate(np.ones(3))
 
-    def test_underflowing_weights_are_named(self):
-        # at (300, 0) the weights near 1 fall below the smallest subnormal;
-        # none is negative, so the rule names the underflow
+    @pytest.mark.parametrize(
+        "alpha, beta", [(300, 0), (1000, 5), (5, 1000), (1000, 0), (0, 1000), (1000, 20)]
+    )
+    def test_underflowing_weights_are_named(self, alpha, beta):
+        # the weights at the end where the weight vanishes to a high power
+        # fall below the smallest subnormal, and none is negative.  Past
+        # (300, 0) a few end nodes also fail the root-count check after
+        # bisection; the rule still names the underflow
         gauss_jacobi_rule.cache_clear()
         with pytest.raises(NumericalError) as failure:
-            gauss_jacobi_rule(600, ModelParams(300, 0))
+            gauss_jacobi_rule(600, ModelParams(alpha, beta))
         gauss_jacobi_rule.cache_clear()
         found = re.fullmatch(
             r"Gauss rule of order 600: (\d+) weights underflow binary64", str(failure.value)

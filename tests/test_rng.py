@@ -278,3 +278,12 @@ class TestVectorValidation:
         out[slot] = np.empty(5, np.uint64)
         with pytest.raises(ValueError, match=f"shape.*'out\\[{slot}\\]': \\(5,\\)"):
             draw(**lanes, out=tuple(out))
+
+    @pytest.mark.parametrize("draw", [raw_many, draw_below_many])
+    @pytest.mark.parametrize("into_out", [False, True])
+    def test_zero_dimensional_lanes_are_refused(self, draw, into_out):
+        # a 0-d array holds one value but no lane axis; both draws refuse it
+        lanes = {name: np.array(lane[2]) for name, lane in self.draw_lanes(draw).items()}
+        out = (np.empty((), np.uint64), np.empty((), np.uint64)) if into_out else None
+        with pytest.raises(ValueError, match=r"at least one dimension, got shape \(\)"):
+            draw(**lanes, out=out)
