@@ -27,13 +27,15 @@ probabilities (P^t)_{ij} live here:
 
 Banded propagation runs one step body on the bands over one common
 denominator D: float64 with D = 1, or for the exact engine the integers
-the law's numerators become over the lcm D of its denominators.  Exact
-rows and residuals are thus integer numerators over denominators, which
-the public functions wrap in Fractions and the CLI prints as they are.
-Each state's new mass adds the same products in the same order as a plain
+the law's numerators become over the lcm D of its denominators.  Each
+state's new mass adds the same products in the same order as a plain
 loop over states would, so neither engine's results depend on the
 vectorization.
 ``BandedTransition.propagate`` runs it on Fractions, independently.
+
+Each table has one core for both engines, numerators over denominators
+(``_power_row``, ``_spectral_row``, ``_residual_terms``; integers in the
+exact engine, which the CLI prints), divided by ``polynomials._ratios``.
 
 ``stationarity_residuals`` checks the fixed-point identity pi P = pi for
 the pi_0-normalized invariant measure state by state, forming pi P with
@@ -58,6 +60,7 @@ from .polynomials import (
     StepCoefficients,
     _invariant_numerators,
     _law_table,
+    _ratios,
     _step_table,
     invariant_measure_table,
 )
@@ -158,8 +161,8 @@ def _scaled_bands(N: int, params: ModelParams, engine: str) -> tuple:
     return (stay, up[:-1], down[1:]), den
 
 
-def _power_row(t: int, i: int, j_max: int, params: ModelParams, engine: str) -> tuple[list, int]:
-    """Row i of P^t, entries j = 0..j_max, as numerators m_j over one scale.
+def _power_row(t: int, i: int, j_max: int, params: ModelParams, engine: str) -> tuple:
+    """Row i of P^t, entries j = 0..j_max, as an array of numerators m_j over one scale.
 
     The float row is the values over a scale of 1.  The exact one runs on
     the integer bands of ``_scaled_bands`` over one common denominator D,
@@ -172,32 +175,27 @@ def _power_row(t: int, i: int, j_max: int, params: ModelParams, engine: str) -> 
     mass = np.zeros(bands[0].size, dtype=bands[0].dtype)
     mass[i] = 1
     scale = 1
-    if engine == "float":
-        for _ in range(t):
-            mass = _banded_step(mass, *bands)
-    else:
-        for _ in range(t):
-            mass = _banded_step(mass, *bands)
+    for _ in range(t):
+        mass = _banded_step(mass, *bands)
+        if engine == "exact":
             scale *= den
             common = math.gcd(scale, *mass)
             mass //= common
             scale //= common
-    # tolist yields plain floats or ints, never numpy scalars
-    return mass[: j_max + 1].tolist(), scale
+    return mass[: j_max + 1], scale
 
 
 def matrix_power_row(t, i, j_max, params: ModelParams, engine: str = "exact") -> list:
     """Row i of P^t, entries j = 0..j_max, by repeated banded products.
 
     Exact by the truncation argument in the module docstring; the float
-    variant runs the same recursion in binary64.  The exact row is
-    ``_power_row``'s integers m_j / scale as Fractions.
+    variant runs the same recursion in binary64.  The row is
+    ``_power_row``'s numerators over its scale, through ``_ratios``.
     """
     t = check_int(t, "t")
     i = check_int(i, "i")
     j_max = check_int(j_max, "j_max")
-    row, scale = _power_row(t, i, j_max, params, engine)
-    return [Fraction(m, scale) for m in row] if engine == "exact" else row
+    return _ratios(*_power_row(t, i, j_max, params, engine), engine).tolist()
 
 
 def matrix_power_transition(t, i, j, params: ModelParams) -> Fraction:
@@ -231,32 +229,18 @@ def _reach(t: int, i: int, j_max: int) -> range:
     return range(max(0, i - t), min(j_max, i + t) + 1)
 
 
-def _exact_spectral_row(t: int, i: int, params: ModelParams, j_max: int) -> tuple[list, list]:
-    """Numerators and denominators of the exact ``spectral_transition_row``."""
+def _spectral_row(t: int, i: int, j_max: int, params: ModelParams, engine: str) -> tuple:
+    """Row i of P^t, entries j = 0..j_max, as numerators over denominators.
+
+    The exact spectral cells' integers, or the float cells clamped at [0, 1]
+    over 1, in the reachable columns; 0 over 1 elsewhere.
+    """
     nums, dens = [0] * (j_max + 1), [1] * (j_max + 1)
     cols = _reach(t, i, j_max)
-    if cols:
+    if cols and engine == "exact":
         terms = _exact_spectral_terms(t, [i], cols, params)
         nums[cols.start : cols.stop], dens[cols.start : cols.stop] = terms
-    return nums, dens
-
-
-def spectral_transition_row(t, i, params: ModelParams, j_max, engine: str = "float") -> list:
-    """Row i of P^t for j = 0..j_max via the spectral representation.
-
-    The reachable columns max(0, i-t)..min(j_max, i+t) are one block of
-    ``integrate``'s spectral cells; float mode clamps their rounding dust
-    at the [0, 1] boundary.  Unreachable cells are exactly zero in both.
-    """
-    t = check_int(t, "t")
-    i = check_int(i, "i")
-    j_max = check_int(j_max, "j_max")
-    if check_engine(engine) == "exact":
-        params.require_integral("engine='exact'")
-        return list(map(Fraction, *_exact_spectral_row(t, i, params, j_max)))
-    row = [0.0] * (j_max + 1)
-    cols = _reach(t, i, j_max)
-    if cols:
+    elif cols:
         cells = _float_spectral_cells(t, [i], cols, params, (t + i + cols[-1]) // 2 + 1)[0]
         # nan is out of range too; clip keeps -0.0, which lies in [0, 1]
         bad = np.flatnonzero(~((cells >= -_CLAMP_SLACK) & (cells <= 1.0 + _CLAMP_SLACK)))
@@ -265,8 +249,22 @@ def spectral_transition_row(t, i, params: ModelParams, j_max, engine: str = "flo
                 f"spectral_transition(t={t}, i={i}, j={cols[bad[0]]}): value "
                 f"{float(cells[bad[0]])!r} outside [0, 1] beyond rounding slack"
             )
-        row[cols.start : cols.stop] = np.clip(cells, 0.0, 1.0).tolist()
-    return row
+        nums[cols.start : cols.stop] = np.clip(cells, 0.0, 1.0).tolist()
+    return nums, dens
+
+
+def spectral_transition_row(t, i, params: ModelParams, j_max, engine: str = "float") -> list:
+    """Row i of P^t for j = 0..j_max via the spectral representation.
+
+    ``_spectral_row`` divided by ``_ratios``: float mode clamps rounding dust
+    at the [0, 1] boundary, and unreachable cells are exactly zero in both.
+    """
+    t = check_int(t, "t")
+    i = check_int(i, "i")
+    j_max = check_int(j_max, "j_max")
+    if check_engine(engine) == "exact":
+        params.require_integral("engine='exact'")
+    return _ratios(*_spectral_row(t, i, j_max, params, engine), engine).tolist()
 
 
 def _residual_terms(N: int, params: ModelParams, engine: str) -> tuple:
@@ -296,18 +294,11 @@ def stationarity_residuals(N, params: ModelParams, engine: str = "float") -> tup
     Residual n is |(pi P)_n - pi_n| / pi_n for n = 0..N-2, where pi P is
     one banded step of pi on the truncation to N states (the component N-1
     would need pi_N and is excluded, so there is one residual fewer than pi
-    entries).  Exact mode returns Fractions from ``_residual_terms``'
-    integers, every zero residual one shared Fraction(0).
+    entries).  Both are ``_residual_terms`` divided by ``_ratios``.
     """
     N = check_int(N, "N", 2)
     (pi, scale), (errors, scaled) = _residual_terms(N, params, check_engine(engine))
-    if engine == "float":
-        with np.errstate(all="ignore"):
-            return pi, np.true_divide(errors, scaled).tolist()
-    zero = Fraction(0)
-    return [Fraction(p, scale) for p in pi], [
-        Fraction(e, d) if e else zero for e, d in zip(errors.tolist(), scaled.tolist())
-    ]
+    return _ratios(pi, scale, engine).tolist(), _ratios(errors, scaled, engine).tolist()
 
 
 def stationarity_residual(N, params: ModelParams, engine: str = "float"):

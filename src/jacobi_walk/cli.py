@@ -9,10 +9,9 @@ array of row objects keyed by the column names, exact cells as strings.
 
 Every exact column is text before ``render``: the exact tables (coeffs,
 transition by matrix or km, stationary, orthocheck) format each cell from
-their library integer core's numerators and denominators exactly as
-str(Fraction) prints it, without forming a Fraction (the library's public
-functions still return Fractions), and ``eval`` takes str() of the
-Fractions of its exact sweep.
+a library core's integer numerator and denominator as str(Fraction) prints
+it, without forming a Fraction, and ``eval`` takes str() of the Fractions
+of its exact sweep.
 
 Exit codes: 0 success, 2 argument error (message names the offending
 flag; an unwritable --output counts as one), 3 numerical failure (e.g. a
@@ -38,9 +37,9 @@ from itertools import repeat, zip_longest
 import numpy as np
 
 from .chain import (
-    _exact_spectral_row,
     _power_row,
     _residual_terms,
+    _spectral_row,
     matrix_power_row,
     spectral_transition_row,
     stationarity_residuals,
@@ -255,10 +254,8 @@ def cmd_transition(args, params: ModelParams) -> dict:
         if given:
             raise UsageError(f"--method {args.method} takes no {', '.join(given)} (mc only)")
         if args.engine == "exact":
-            if args.method == "km":
-                row = _texts(*_exact_spectral_row(args.t, args.i, params, args.j_max))
-            else:
-                row = _texts(*_power_row(args.t, args.i, args.j_max, params, "exact"))
+            core = _spectral_row if args.method == "km" else _power_row
+            row = _texts(*core(args.t, args.i, args.j_max, params, "exact"))
         elif args.method == "km":
             row = spectral_transition_row(args.t, args.i, params, args.j_max, "float")
         else:

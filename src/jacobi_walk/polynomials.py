@@ -14,8 +14,8 @@ n+1.  down_0 = 0, so the walk never leaves the state space.
 
 The law's numerators and denominators are written once, in ``_law_terms``,
 and tabulated over states by ``_law_table``; ``step_coefficients`` divides
-them at one state and ``_step_table`` over the table, which the modules
-slice: with Fraction for the exact engine, binary64 for the float one.
+them at one state and ``_step_table`` over the table by ``_ratios``, the
+one converter of numerator and denominator tables: Fraction or binary64.
 """
 
 from __future__ import annotations
@@ -118,11 +118,22 @@ def _law_table(n_max, params: ModelParams, engine: str) -> tuple:
         return tuple(tuple(np.concatenate(([z], s)) for z, s in zip(*pair)) for pair in pairs)
 
 
+def _ratios(nums, dens, engine: str) -> np.ndarray:
+    """nums / dens per cell, ``dens`` one number or one per cell: Fractions or float64.
+
+    Exact cells come from object arrays, so integers past 2**63 stay Python
+    ints; a float overflow leaves inf or nan for the caller to check.
+    """
+    if engine == "exact":
+        fraction = np.frompyfunc(Fraction, 2, 1)
+        return fraction(np.asarray(nums, dtype=object), np.asarray(dens, dtype=object))
+    with np.errstate(all="ignore"):
+        return np.true_divide(nums, dens)
+
+
 def _step_table(n_max, params: ModelParams, engine: str) -> tuple:
     """(up, stay, down) at states 0..n_max: ``_law_table`` divided, float64 or Fractions."""
-    divide = np.frompyfunc(Fraction, 2, 1) if engine == "exact" else np.true_divide
-    with np.errstate(over="ignore", invalid="ignore"):
-        return tuple(divide(*pair) for pair in _law_table(n_max, params, engine))
+    return tuple(_ratios(*pair, engine) for pair in _law_table(n_max, params, engine))
 
 
 def _three_term_sweep(x, q0, steps):
@@ -218,7 +229,7 @@ def monomial_coefficients(n, params: ModelParams) -> tuple[Fraction, ...]:
     """Exact monomial coefficients of Q_n, lowest degree first."""
     n = check_int(n, "degree")
     nums, den = _coefficient_numerators(n, *params.require_integral("monomial_coefficients"))
-    return tuple(Fraction(c, den) for c in nums)
+    return tuple(_ratios(nums, den, "exact"))
 
 
 def _common_denominator(coeffs) -> tuple[list[int], int]:
@@ -241,8 +252,7 @@ def poly_product(a, b) -> tuple[Fraction, ...]:
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
-    den = den_a * den_b
-    return tuple(Fraction(c, den) for c in out)
+    return tuple(_ratios(out, den_a * den_b, "exact"))
 
 
 def _inverse_mass(a: int, b: int) -> int:
@@ -304,8 +314,7 @@ def invariant_measure_table(n_max, params: ModelParams, engine: str = "float") -
     n_max = check_int(n_max, "n_max")
     check_engine(engine)
     if engine == "exact":
-        nums, scale = _invariant_numerators(n_max, params)
-        return [Fraction(p, scale) for p in nums]
+        return _ratios(*_invariant_numerators(n_max, params), engine).tolist()
     a, b = params.require_float()
     m = np.arange(1.0, n_max + 1)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -578,6 +578,31 @@ class TestExitCodes:
         else:
             assert code == 3 and "Gauss rule" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("order, exponent", [(18, 20), (2, 40), (2, 154)])
+    def test_nodes_sent_to_inf_are_one_line(self, order, exponent):
+        # a double Newton sweep sends nodes to inf, and the gaps between
+        # them are nan; under -W error a warning about them was a traceback
+        result = run_module("quadrule", "--points", str(order), "--alpha", str(10**exponent))
+        assert result.returncode == 3 and result.stdout == ""
+        assert result.stderr.startswith("jacobi-walk: numerical failure: ")
+        assert result.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("exponent", [9, 12])
+    def test_zeros_within_an_ulp_are_converged(self, exponent):
+        # the zeros lie 6e-9 to 4e-13 below 1, where the last Newton steps
+        # after bisection are below half an ulp of the node and cannot move
+        # it; the root-count check refused them before
+        alpha = 10**exponent
+        result = run_module("quadrule", "--points", "3", "--alpha", str(alpha))
+        assert result.returncode == 0 and result.stderr == ""
+        rows = [line.split(",") for line in result.stdout.splitlines()[1:]]
+        nodes, weights = ([Fraction(float(row[k])) for row in rows] for k in (1, 2))
+        assert 0 < nodes[0] < nodes[1] < nodes[2] < 1
+        # degree 5 is exact for three nodes; moment m is 1 / (alpha + m + 1)
+        for m in range(6):
+            quadrature = sum(w * x**m for w, x in zip(weights, nodes))
+            assert abs(quadrature * (alpha + m + 1) - 1) < 1e-8
+
     @pytest.mark.parametrize(
         "argv",
         [

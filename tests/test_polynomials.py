@@ -29,7 +29,7 @@ from jacobi_walk import (
     weight,
 )
 from jacobi_walk.model import check_int
-from jacobi_walk.polynomials import _step_table
+from jacobi_walk.polynomials import _ratios, _step_table
 
 F = Fraction
 
@@ -177,6 +177,29 @@ class TestStepTable:
                 value = getattr(cf, name)
                 assert type(value) is float
                 assert value == float(getattr(ce, name))
+
+
+class TestRatios:
+    # numerators at and past the int64 and uint64 limits, where numpy would
+    # infer float64 or fail for a plain list of ints
+    NUMS = [1, 2**63, 2**64 - 1, -(2**63)]
+
+    @pytest.mark.parametrize("dens", [3, [3, 5, 2**64, -7]], ids=["one", "list"])
+    def test_exact_cells_are_fractions_of_python_ints(self, dens):
+        cells = _ratios(self.NUMS, dens, "exact")
+        each = dens if isinstance(dens, list) else [dens] * len(self.NUMS)
+        assert cells.dtype == object
+        assert cells.tolist() == [Fraction(n, d) for n, d in zip(self.NUMS, each)]
+        for cell in cells:
+            assert type(cell) is Fraction
+            assert type(cell.numerator) is int and type(cell.denominator) is int
+
+    @pytest.mark.parametrize("dens", [1, [1] * 8], ids=["one", "list"])
+    def test_float_division_by_one_keeps_every_bit(self, dens):
+        values = np.array([0.0, -0.0, 1.5, -2.25, 5e-324, np.inf, -np.inf, np.nan])
+        cells = _ratios(values.tolist(), dens, "float")
+        assert cells.dtype == float
+        assert cells.tobytes() == values.tobytes()
 
 
 class TestEvalPoly:
