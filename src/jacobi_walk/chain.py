@@ -33,9 +33,10 @@ loop over states would, so neither engine's results depend on the
 vectorization.
 ``BandedTransition.propagate`` runs it on Fractions, independently.
 
-Each table has one core for both engines, numerators over denominators
-(``_power_row``, ``_spectral_row``, ``_residual_terms``; integers in the
-exact engine, which the CLI prints), divided by ``polynomials._ratios``.
+Exact rows and residuals are integer numerators over denominators
+(``_power_row`` and ``_residual_terms`` for both engines, ``_spectral_row``
+for the exact km row), which the CLI prints as they are and the public
+functions divide by ``polynomials._ratios``.
 
 ``stationarity_residuals`` checks the fixed-point identity pi P = pi for
 the pi_0-normalized invariant measure state by state, forming pi P with
@@ -229,18 +230,35 @@ def _reach(t: int, i: int, j_max: int) -> range:
     return range(max(0, i - t), min(j_max, i + t) + 1)
 
 
-def _spectral_row(t: int, i: int, j_max: int, params: ModelParams, engine: str) -> tuple:
-    """Row i of P^t, entries j = 0..j_max, as numerators over denominators.
+def _spectral_row(t: int, i: int, j_max: int, params: ModelParams) -> tuple[list, list]:
+    """Exact row i of P^t, entries j = 0..j_max, as numerators over denominators.
 
-    The exact spectral cells' integers, or the float cells clamped at [0, 1]
-    over 1, in the reachable columns; 0 over 1 elsewhere.
+    The spectral cells' integers in the reachable columns, 0 over 1 elsewhere.
     """
     nums, dens = [0] * (j_max + 1), [1] * (j_max + 1)
     cols = _reach(t, i, j_max)
-    if cols and engine == "exact":
+    if cols:
         terms = _exact_spectral_terms(t, [i], cols, params)
         nums[cols.start : cols.stop], dens[cols.start : cols.stop] = terms
-    elif cols:
+    return nums, dens
+
+
+def spectral_transition_row(t, i, params: ModelParams, j_max, engine: str = "float") -> list:
+    """Row i of P^t for j = 0..j_max via the spectral representation.
+
+    The reachable columns max(0, i-t)..min(j_max, i+t) are one block of
+    ``integrate``'s spectral cells; float mode clamps their rounding dust
+    at the [0, 1] boundary.  Unreachable cells are exactly zero in both.
+    """
+    t = check_int(t, "t")
+    i = check_int(i, "i")
+    j_max = check_int(j_max, "j_max")
+    if check_engine(engine) == "exact":
+        params.require_integral("engine='exact'")
+        return _ratios(*_spectral_row(t, i, j_max, params), engine).tolist()
+    row = [0.0] * (j_max + 1)
+    cols = _reach(t, i, j_max)
+    if cols:
         cells = _float_spectral_cells(t, [i], cols, params, (t + i + cols[-1]) // 2 + 1)[0]
         # nan is out of range too; clip keeps -0.0, which lies in [0, 1]
         bad = np.flatnonzero(~((cells >= -_CLAMP_SLACK) & (cells <= 1.0 + _CLAMP_SLACK)))
@@ -249,22 +267,8 @@ def _spectral_row(t: int, i: int, j_max: int, params: ModelParams, engine: str) 
                 f"spectral_transition(t={t}, i={i}, j={cols[bad[0]]}): value "
                 f"{float(cells[bad[0]])!r} outside [0, 1] beyond rounding slack"
             )
-        nums[cols.start : cols.stop] = np.clip(cells, 0.0, 1.0).tolist()
-    return nums, dens
-
-
-def spectral_transition_row(t, i, params: ModelParams, j_max, engine: str = "float") -> list:
-    """Row i of P^t for j = 0..j_max via the spectral representation.
-
-    ``_spectral_row`` divided by ``_ratios``: float mode clamps rounding dust
-    at the [0, 1] boundary, and unreachable cells are exactly zero in both.
-    """
-    t = check_int(t, "t")
-    i = check_int(i, "i")
-    j_max = check_int(j_max, "j_max")
-    if check_engine(engine) == "exact":
-        params.require_integral("engine='exact'")
-    return _ratios(*_spectral_row(t, i, j_max, params, engine), engine).tolist()
+        row[cols.start : cols.stop] = np.clip(cells, 0.0, 1.0).tolist()
+    return row
 
 
 def _residual_terms(N: int, params: ModelParams, engine: str) -> tuple:
@@ -285,7 +289,7 @@ def _residual_terms(N: int, params: ModelParams, engine: str) -> tuple:
     with np.errstate(all="ignore"):
         scaled = den * measure[:-1]
         errors = abs(_banded_step(measure, *bands)[:-1] - scaled)
-    return (pi, scale), (errors, scaled)
+    return (measure, scale), (errors, scaled)
 
 
 def stationarity_residuals(N, params: ModelParams, engine: str = "float") -> tuple[list, list]:

@@ -254,8 +254,10 @@ def cmd_transition(args, params: ModelParams) -> dict:
         if given:
             raise UsageError(f"--method {args.method} takes no {', '.join(given)} (mc only)")
         if args.engine == "exact":
-            core = _spectral_row if args.method == "km" else _power_row
-            row = _texts(*core(args.t, args.i, args.j_max, params, "exact"))
+            if args.method == "km":
+                row = _texts(*_spectral_row(args.t, args.i, args.j_max, params))
+            else:
+                row = _texts(*_power_row(args.t, args.i, args.j_max, params, "exact"))
         elif args.method == "km":
             row = spectral_transition_row(args.t, args.i, params, args.j_max, "float")
         else:

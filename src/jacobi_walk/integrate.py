@@ -322,21 +322,21 @@ def _zeros_above(xs, diag, off):
     return above
 
 
-def _unverified(nodes, step, diag, off):
+def _unverified(nodes, step, diag, off, floor=0.0):
     """Mask of the nodes not shown to be converged, distinct zeros of p_M.
 
     Node k passes when it lies in (0, 1) strictly between its neighbours,
     the Sturm count puts exactly k zeros below the midpoint to its left
     and k + 1 below the one to its right, and its last Newton step was
-    within _CONVERGED of its nearest gap (to a neighbour or an end) or at
-    most half an ulp of the node, a step that cannot move it.
+    within _CONVERGED of its nearest gap (to a neighbour or an end), or
+    within ``floor``.
     """
     order = nodes.size
     below = order - _zeros_above((nodes[:-1] + nodes[1:]) / 2, diag, off)
     counted = below == np.arange(1, order)
     near = _nearest_gap(nodes)
     verified = np.concatenate(([True], counted)) & np.concatenate((counted, [True]))
-    converged = np.abs(step) <= np.maximum(_CONVERGED * near, np.spacing(nodes) / 2)
+    converged = np.abs(step) <= np.maximum(_CONVERGED * near, floor)
     return ~(verified & (near > 0.0) & converged)
 
 
@@ -452,9 +452,10 @@ def gauss_jacobi_rule(order, params: ModelParams) -> QuadratureRule:
     NumericalError if the one-step law overflows binary64 (checked before
     any Newton sweep), if a node fails the root-count check even after
     bisection (named as binary64's resolution when distinct zeros round to
-    one double, and as an underflow when some weights at the polished nodes
-    round to 0.0), if the weight's total mass or a weight underflows, or if
-    a weight is not positive.
+    one double or Newton stalls below an ulp short of convergence, and as an
+    underflow when some weights at the polished nodes round to 0.0), if the
+    weight's total mass or a weight underflows, or if a weight is not
+    positive.
     """
     order = check_int(order, "quadrature order", 1)
     diag, off, mass = _symmetrized_recurrence(order, params)
@@ -485,16 +486,27 @@ def gauss_jacobi_rule(order, params: ModelParams) -> QuadratureRule:
             f"Gauss rule of order {order}: the weight's total mass underflows to {mass!r}"
         )
     weights = (np.longdouble(mass) / _christoffel_sum(xs, diag, off)).astype(float)
+    nodes = xs.astype(float)
     if unverified.any():
         # the end nodes of a huge exponent can fail the check while their
         # weights lie below the double range; the unverified ones may be nan
         _raise_underflow(order, weights)
+        # within 1e-9 of 1 a double keeps few digits of 1 - x: a last step of
+        # half an ulp cannot move its node, yet can exceed _CONVERGED of its gap
+        ulp = np.where(unverified, np.spacing(nodes), 0.0)
+        if not _unverified(nodes, step, diag, off, ulp / 2).any():
+            share = ulp / _nearest_gap(nodes)
+            k = np.argmax(share)
+            raise NumericalError(
+                f"Gauss rule of order {order}: {np.count_nonzero(unverified)} nodes stall at "
+                f"binary64's resolution; near {float(nodes[k])!r} it resolves 1 - x only in "
+                f"steps of {ulp[k]:.3g}, {share[k]:.2g} of the gap to the nearer node"
+            )
         raise NumericalError(
             f"Gauss rule of order {order}: {np.count_nonzero(unverified)} nodes "
             "fail the root-count check"
         )
     # each node passed the check with both its gaps > 0: 0 < nodes[0] < ... < nodes[-1] < 1
-    nodes = xs.astype(float)
     # a negative weight, also one that underflows to -0.0, or a nan weight
     if np.any(np.signbit(weights) | np.isnan(weights)):
         raise NumericalError(f"Gauss rule of order {order}: nonpositive weight")
