@@ -7,6 +7,13 @@ contain a decimal point; float-mode cells use repr's shortest round-trip
 decimal form.  CSV has a header row, UTF-8, LF line endings.  JSON is an
 array of row objects keyed by the column names, exact cells as strings.
 
+CSV is the bytes csv.writer would write, made without it: ``render`` turns
+each column into text with one map per column, floats through
+float.__repr__ and each distinct index integer formatted once, and joins
+the rows a block at a time.  No field ever needs quoting (names, numbers
+and p/q text hold no comma, quote or line break), and a column shorter
+than the table, as stationary's residual, prints empty cells.
+
 Every exact column is text before ``render``: the exact tables (coeffs,
 transition by matrix or km, stationary, orthocheck) format each cell from
 a library core's integer numerator and denominator as str(Fraction) prints
@@ -25,8 +32,6 @@ exponent too large for the arithmetic).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -300,12 +305,17 @@ def cmd_quadrule(args, params: ModelParams) -> dict:
 
 
 def _check_finite(columns: dict) -> None:
-    """Raise NumericalError naming a float table's first inf or nan cell in row order."""
+    """Raise NumericalError naming a float table's first inf or nan cell in row order.
+
+    Only float arrays and lists (of floats, in a float table) are checked:
+    a range or an integer array has no inf or nan to find.
+    """
     bad = {}
     for name, column in columns.items():
-        finite = np.isfinite(np.asarray(column, dtype=float))
-        if not finite.all():
-            bad[name] = finite.argmin()
+        if isinstance(column, list) or getattr(column, "dtype", None) == np.float64:
+            finite = np.isfinite(np.asarray(column, dtype=float))
+            if not finite.all():
+                bad[name] = finite.argmin()
     if bad:
         name = min(bad, key=bad.get)  # of equal rows, min keeps the leftmost column
         key, row = next(iter(columns)), bad[name]
@@ -314,23 +324,68 @@ def _check_finite(columns: dict) -> None:
 
 
 def _cells(column) -> list:
-    """A column's cells as ``render`` prints them: plain ints, floats and text."""
+    """A column's cells as JSON prints them: plain ints, floats and text."""
     # tolist yields plain ints and floats
     return column.tolist() if isinstance(column, np.ndarray) else column
 
 
+def _cell_text(cell) -> str:
+    """One cell as csv.writer prints it: repr for a float, str for the rest,
+    and empty for None."""
+    if cell is None:
+        return ""
+    return repr(cell) if isinstance(cell, float) else str(cell)
+
+
+def _csv_texts(column, rows: int):
+    """The function from a slice of rows to a column's CSV fields there.
+
+    One C-level map per column kind: float64 cells through float.__repr__;
+    an index column (a range, or integers in 0..rows-1 such as orthocheck's
+    divmod pair) formats each distinct integer once, through a list no
+    longer than the table; lists of text pass as they are; any other cell
+    goes through ``_cell_text``.
+    """
+    if isinstance(column, range):
+        return lambda block: map(str, column[block])
+    if isinstance(column, np.ndarray):
+        if column.dtype == np.float64:
+            text = float.__repr__
+        elif column.dtype.kind not in "iu":
+            text = _cell_text
+        elif column.size and 0 <= column.min() and column.max() < rows:
+            text = list(map(str, range(column.max() + 1))).__getitem__
+        else:
+            text = int.__repr__
+        return lambda block: map(text, column[block].tolist())
+    kinds = set(map(type, column))
+    if kinds <= {str}:
+        return lambda block: column[block]
+    text = float.__repr__ if kinds == {float} else _cell_text
+    return lambda block: map(text, column[block])
+
+
+# rows turned into text and joined at a time: the fields of one block are
+# alive at once, not those of the whole table
+_BLOCK_ROWS = 2048
+
+
 def render(columns: dict, fmt: str) -> str:
-    # zip_longest fills a short column with None, which CSV prints empty and
-    # JSON as null
-    rows = zip_longest(*map(_cells, columns.values()))
-    if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(columns)
-        # the writer prints floats via repr, the rest via str
-        writer.writerows(rows)
-        return buffer.getvalue()
-    return json.dumps([dict(zip(columns, row)) for row in rows], indent=2) + "\n"
+    if fmt == "json":
+        # zip_longest fills a short column with None, which JSON prints as null
+        rows = zip_longest(*map(_cells, columns.values()))
+        return json.dumps([dict(zip(columns, row)) for row in rows], indent=2) + "\n"
+    # the bytes csv.writer(lineterminator="\n") writes, made column by column
+    # a block of rows at a time: no field ever needs quoting, floats print
+    # through float.__repr__, and a short column's missing cells print empty
+    rows = max(map(len, columns.values()))
+    texts = [_csv_texts(column, rows) for column in columns.values()]
+    lines = [",".join(columns)]
+    for start in range(0, rows, _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        fields = zip_longest(*(text(block) for text in texts), fillvalue="")
+        lines.append("\n".join(map(",".join, fields)))
+    return "\n".join(lines) + "\n"
 
 
 def main(argv=None) -> int:

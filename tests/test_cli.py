@@ -4,6 +4,7 @@ import cProfile
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import pstats
@@ -15,6 +16,7 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from jacobi_walk import ModelParams, eval_poly, stationarity_residuals
@@ -315,6 +317,34 @@ def test_golden_digest(command, engine):
         assert h.hexdigest() == digest, fmt
 
 
+# sha256 of the stdout of float tables at (alpha, beta) = (3, 5), at sizes
+# the benchmark's float queries reach: more rows than one CSV block of the
+# renderer, and a 121 x 241 long-double spectral block.  Computed before the
+# renderer wrote CSV by column and the spectral block went through np.dot.
+LARGE_FLOAT_DIGESTS = {
+    ("orthocheck", "--i-max", "120"): {
+        "csv": "1203f13e68a4b3541479128282ae57183573119d4482053b82788abe9ac260f7",
+        "json": "9115244f76d0abd4b1d42653020b09f0f48ee2508d649081ee90482db45e99ac",
+    },
+    ("transition", "--method", "km", "--t", "120", "--i", "20", "--j-max", "140"): {
+        "csv": "3489d5d00f048f081a7a2becbcfcfd8b4221128b0c13d7d10c223eded5598680",
+        "json": "ab403bd43b94355625b49c03fe70de344fd322ef95737c264d02e8aa74862bf3",
+    },
+    ("stationary", "--n-max", "3000"): {
+        "csv": "f1dc234f28e4d61abeef31590ed4d1eeaeb2016c0ae3a4b59f86d3c7bc837972",
+        "json": "a02c1d40d06c434eb97b9400adfbad7553cb05957d671ab38706ad9efd374680",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(LARGE_FLOAT_DIGESTS), ids=lambda a: a[0])
+def test_large_float_digest(argv):
+    for fmt, digest in LARGE_FLOAT_DIGESTS[argv].items():
+        code, text = run_cli(*argv, "--alpha", "3", "--beta", "5", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, fmt
+
+
 # sha256 of the CSV stdout of Monte Carlo runs at (alpha, beta) = (1, 2) and
 # seed 31; 300000 trajectories are two chunks, so --threads 2 runs the pool.
 # From n0 = 2, t = 6 steps reach states 0..8: the first transition row stops
@@ -376,6 +406,46 @@ class TestFormatParity:
         _, text = run_cli("quadrule", "--points", "3", "--format", "json")
         for record in json.loads(text):
             assert float(repr(record["node"])) == record["node"]
+
+
+def planted_table(rows):
+    """A table with every kind of column the commands render, ``rows`` long."""
+    specials = np.array([-0.0, 5e-324, 0.1, 1e-05, 1e16, 1 / 3, 2.5, -7.0])
+    i, j = np.divmod(np.arange(rows), 7)
+    return {
+        "n": range(rows),
+        "i": i,
+        "j": j,
+        "value": np.resize(specials, rows) * (1 + np.arange(rows) % 3),
+        "count": 300000 + 1009 * np.arange(rows, dtype=np.int64) % 977,
+        "exact": [str(Fraction(k - 3, 7)) for k in range(rows)],
+        "point": [k / 3 - 0.5 for k in range(rows)],
+        "mixed": ([None, -0.0, 12, "1/2", 0.1, 2**70] * rows)[:rows],
+        "residual": [(-1) ** k * 2.0**-k for k in range(rows - 1)],
+    }
+
+
+class TestCsvBytes:
+    """CSV output is, byte for byte, what csv.writer writes for the same rows."""
+
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1], ids=["one", "less", "block", "more"])
+    def test_render_matches_csv_writer(self, offset):
+        rows = 1 if offset is None else cli_module._BLOCK_ROWS + offset
+        columns = planted_table(rows)
+        cells = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns.values()]
+        oracle = io.StringIO()
+        writer = csv.writer(oracle, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(itertools.zip_longest(*cells))
+        text = cli_module.render(columns, "csv")
+        assert text == oracle.getvalue()
+        header, records = parse_csv(text)
+        assert header == list(columns) and len(records) == rows
+        for name in ("value", "point", "residual"):
+            k, expected = header.index(name), cells[header.index(name)]
+            read = [float(record[k]) for record in records[: len(expected)]]
+            assert [x.hex() for x in read] == [x.hex() for x in expected], name
+        assert all(record[-1] == "" for record in records[rows - 1 :])
 
 
 class TestExitCodes:
