@@ -139,7 +139,6 @@ def _banded_step(mass: np.ndarray, diag, sup, sub) -> np.ndarray:
 def build_transition(N, params: ModelParams, engine: str = "float") -> BandedTransition:
     """One-step matrix truncated to the first N states."""
     N = check_int(N, "N", 1)
-    check_engine(engine)
     up, stay, down = _step_table(N - 1, params, engine)
     return BandedTransition(
         size=N,

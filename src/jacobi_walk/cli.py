@@ -47,11 +47,10 @@ from .chain import (
     _spectral_row,
     matrix_power_row,
     spectral_transition_row,
-    stationarity_residuals,
 )
 from .integrate import _exact_spectral_terms, gauss_jacobi_rule, orthonormality_table
 from .model import ENGINES, ModelParams, NumericalError, check_int
-from .polynomials import _law_table, _poly_values, _step_table
+from .polynomials import _law_table, _poly_values, _ratios, _step_table
 from .urn import binomial_estimate, terminal_state_counts
 
 __all__ = ["main"]
@@ -275,11 +274,11 @@ def cmd_transition(args, params: ModelParams) -> dict:
 
 
 def cmd_stationary(args, params: ModelParams) -> dict:
+    (pi, scale), (errors, scaled) = _residual_terms(args.n_max + 1, params, args.engine)
     if args.engine == "exact":
-        (pi, scale), (errors, scaled) = _residual_terms(args.n_max + 1, params, "exact")
         pi, residuals = _texts(pi, scale), _texts(errors, scaled)
     else:
-        pi, residuals = stationarity_residuals(args.n_max + 1, params, "float")
+        residuals = _ratios(errors, scaled, "float")
     return {"i": range(args.n_max + 1), "pi": pi, "residual": residuals}
 
 
@@ -343,16 +342,15 @@ def _csv_texts(column, rows: int):
     One C-level map per column kind: float64 cells through float.__repr__;
     an index column (a range, or integers in 0..rows-1 such as orthocheck's
     divmod pair) formats each distinct integer once, through a list no
-    longer than the table; lists of text pass as they are; any other cell
-    goes through ``_cell_text``.
+    longer than the table, and other integers through int.__repr__; lists
+    of text pass as they are, lists of floats go through float.__repr__ and
+    other lists through ``_cell_text``.
     """
     if isinstance(column, range):
         return lambda block: map(str, column[block])
     if isinstance(column, np.ndarray):
         if column.dtype == np.float64:
             text = float.__repr__
-        elif column.dtype.kind not in "iu":
-            text = _cell_text
         elif column.size and 0 <= column.min() and column.max() < rows:
             text = list(map(str, range(column.max() + 1))).__getitem__
         else:

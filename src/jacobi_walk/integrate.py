@@ -40,12 +40,15 @@ three-term recurrence over all nodes at once and holds O(M) numbers:
    step is small against the node spacing, then once in extended
    precision;
 3. one Sturm count (Barth, Martin & Wilkinson, Numer. Math. 9 (1967)) at
-   the midpoints between nodes checks that node k is the k-th zero.  A
-   node that fails is bisected afresh with the same count and polished
-   again; if it still fails, NumericalError is raised.  The weights are
-   1 / sum_k p_k**2 at the nodes (the Christoffel-Darboux kernel), read off
-   a final sweep; they are the only step that needs the weight's total
-   mass.
+   the midpoints between nodes gives each node a verdict: placed when it
+   lies between its neighbours and the k-th zero is the only one between
+   the midpoints on either side of it, and converged when its last Newton
+   step was small against its nearest gap.  A node that is not both is
+   bisected afresh with the same count and polished again; if it still
+   fails, NumericalError is raised.  The weights are 1 / sum_k p_k**2 at
+   the nodes (the Christoffel-Darboux kernel), read off a final sweep; they
+   are the only step that needs the weight's total mass, whose underflow is
+   refused before step 1.
 
 The extended precision matters because downstream identities divide by
 polynomially small norms and feel every spare ulp.
@@ -322,22 +325,21 @@ def _zeros_above(xs, diag, off):
     return above
 
 
-def _unverified(nodes, step, diag, off, floor=0.0):
-    """Mask of the nodes not shown to be converged, distinct zeros of p_M.
+def _verdict(nodes, step, diag, off):
+    """Each node's verdict as two masks, (placed, converged).
 
-    Node k passes when it lies in (0, 1) strictly between its neighbours,
-    the Sturm count puts exactly k zeros below the midpoint to its left
-    and k + 1 below the one to its right, and its last Newton step was
-    within _CONVERGED of its nearest gap (to a neighbour or an end), or
-    within ``floor``.
+    Node k is placed when it lies in (0, 1) strictly between its neighbours
+    and the Sturm count puts exactly k zeros below the midpoint to its left
+    and k + 1 below the one to its right.  It is converged when its last
+    Newton step was within _CONVERGED of its nearest gap (to a neighbour or
+    an end).
     """
     order = nodes.size
     below = order - _zeros_above((nodes[:-1] + nodes[1:]) / 2, diag, off)
     counted = below == np.arange(1, order)
     near = _nearest_gap(nodes)
-    verified = np.concatenate(([True], counted)) & np.concatenate((counted, [True]))
-    converged = np.abs(step) <= np.maximum(_CONVERGED * near, floor)
-    return ~(verified & (near > 0.0) & converged)
+    placed = np.concatenate(([True], counted)) & np.concatenate((counted, [True])) & (near > 0.0)
+    return placed, np.abs(step) <= _CONVERGED * near
 
 
 def _bisect(lanes, diag, off):
@@ -449,18 +451,22 @@ def gauss_jacobi_rule(order, params: ModelParams) -> QuadratureRule:
     weights are the reciprocal Christoffel-Darboux kernel
     1 / sum_{k<M} p_k**2 at the nodes (equal to the weight's total mass
     times the squared first eigenvector components).  Raises
-    NumericalError if the one-step law overflows binary64 (checked before
-    any Newton sweep), if a node fails the root-count check even after
-    bisection (named as binary64's resolution when distinct zeros round to
-    one double or Newton stalls below an ulp short of convergence, and as an
-    underflow when some weights at the polished nodes round to 0.0), if the
-    weight's total mass or a weight underflows, or if a weight is not
-    positive.
+    NumericalError, in this order: if the one-step law overflows binary64
+    or the weight's total mass underflows (both before any node is
+    computed); if a node fails the root-count check even after bisection
+    (named as binary64's resolution when distinct zeros round to one double
+    or Newton stalls below an ulp short of convergence, and as an underflow
+    when some weights at the polished nodes round to 0.0); if a weight is
+    not positive or underflows.
     """
     order = check_int(order, "quadrature order", 1)
     diag, off, mass = _symmetrized_recurrence(order, params)
     if not (np.isfinite(diag).all() and np.isfinite(off).all()):
         raise NumericalError(f"Gauss rule of order {order}: the one-step law overflows binary64")
+    if not mass > 0.0:
+        raise NumericalError(
+            f"Gauss rule of order {order}: the weight's total mass underflows to {mass!r}"
+        )
     # For alpha, beta in 0..6 and orders up to 600 the asymptotic starts lie
     # within 18% of the local node spacing, and one to four double sweeps
     # reach the handover.  Measured against the sign change of p_M
@@ -473,18 +479,16 @@ def gauss_jacobi_rule(order, params: ModelParams) -> QuadratureRule:
     # Exponents near -1 or in the tens and hundreds defeat the asymptotics
     # at the ends, and the root-count check sends those nodes to bisection.
     xs, step = _polish(_start_nodes(order, *params.require_float()), diag, off)
-    unverified = _unverified(xs.astype(float), step, diag, off)
+    placed, converged = _verdict(xs.astype(float), step, diag, off)
+    unverified = ~(placed & converged)
     if unverified.any():
         lanes = np.flatnonzero(unverified)
         bisected = _bisect(lanes, diag, off)
         xs[lanes], step[lanes] = _polish(bisected, diag, off)
-        unverified = _unverified(xs.astype(float), step, diag, off)
+        placed, converged = _verdict(xs.astype(float), step, diag, off)
+        unverified = ~(placed & converged)
         if unverified.any():
             _raise_unresolved(order, bisected, diag, off)
-    if not mass > 0.0:
-        raise NumericalError(
-            f"Gauss rule of order {order}: the weight's total mass underflows to {mass!r}"
-        )
     weights = (np.longdouble(mass) / _christoffel_sum(xs, diag, off)).astype(float)
     nodes = xs.astype(float)
     if unverified.any():
@@ -494,7 +498,7 @@ def gauss_jacobi_rule(order, params: ModelParams) -> QuadratureRule:
         # within 1e-9 of 1 a double keeps few digits of 1 - x: a last step of
         # half an ulp cannot move its node, yet can exceed _CONVERGED of its gap
         ulp = np.where(unverified, np.spacing(nodes), 0.0)
-        if not _unverified(nodes, step, diag, off, ulp / 2).any():
+        if placed.all() and np.all(converged | (np.abs(step) <= ulp / 2)):
             share = ulp / _nearest_gap(nodes)
             k = np.argmax(share)
             raise NumericalError(

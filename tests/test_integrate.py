@@ -454,6 +454,80 @@ class TestComplexStep:
         gauss_jacobi_rule.cache_clear()
 
 
+# Huge, large and mirrored exponents, where rules are built, bisected, or
+# refused with each of the rule's messages.  Per pair, the sha256 of one
+# line per order: the NumericalError text, or the sha256 of the nodes and
+# weights.  Order 600 only where the refusal needs no node.
+REFUSAL_ORDERS = [*range(1, 21), 40, 59, 97, 141, 241]
+REFUSED_BEFORE_NODES = [(10**200, 0), (1000, 1000), (10**6, 10**6)]
+REFUSAL_GRID = {
+    (10**20, 0): "4e0664f2ca8842de4324eba77f9b5bbf82be2921efff7e13c48771476c962cc6",
+    (0, 10**20): "7278f157c13c6ec745090333e2bac45b18631e9c1d37361fada00fddb8aa0f52",
+    (10**9, 0): "dacf4eb94a62161ca9311dbc9e2155b72290c1ce454d042bd1903bd4996a365d",
+    (10**12, 0): "55f23708c57bfd0d728ee059f19818eedb2d67c1a60bbea1ec4b89778f426706",
+    (10**200, 0): "1312343a6bf8a1bed3faf80477618cb38cad46ffc7a1bc612f9016f2dacbb02c",
+    (1000, 0): "4671d5dc740f2a4625cfa090b0a553a6a73f147df5d56b9114e7b9888c11f485",
+    (0, 1000): "e01fbd4c6ad9d6e6e79902862b53ea8a0173d0bd29ed7472d49e3b7c7a9531d9",
+    (1000, 5): "da6bc8d9106b43bc2338e78b711ee2c5520b491c9a502467220afd41c31d2600",
+    (5, 1000): "677a385c4e10e7945ac6d575d47d35088f08945c4448b24f87652d8ae682cb71",
+    (1000, 20): "a80fc50955af551a720f03ea99d57e57527948bef2ef44f53ac9b5cb706d0440",
+    (300, 0): "7a6048a958e5cd0690cc59fab32aa318a070062259837d33ca4945acf8402956",
+    (100, 100): "8078d9a1b01a507c8e2b750deae775dd951a5e21eb227e7f5aaebda6197b42cb",
+    (40, 3): "4743b57fccea37640181ba04f4f6e48233c2e12a8bbfe62fc261e2f420304366",
+    (1000, 1000): "d49813951f5929fe8d7b51e275029e0ed308e2413b01b5c802324f41227f3701",
+    (10**6, 10**6): "d49813951f5929fe8d7b51e275029e0ed308e2413b01b5c802324f41227f3701",
+}
+
+
+class TestRefusalGrid:
+    """The rules and refusals of the exponents that push binary64 hardest."""
+
+    @staticmethod
+    def _record(order, params) -> str:
+        try:
+            rule = gauss_jacobi_rule(order, params)
+        except NumericalError as failure:
+            return str(failure)
+        return hashlib.sha256(rule.nodes.tobytes() + rule.weights.tobytes()).hexdigest()
+
+    @pytest.mark.parametrize(
+        "ab", list(REFUSAL_GRID), ids=lambda ab: "-".join(f"{v:g}" for v in ab)
+    )
+    def test_refusal_grid(self, ab):
+        orders = REFUSAL_ORDERS + [600] * (ab in REFUSED_BEFORE_NODES)
+        lines = "\n".join(self._record(order, ModelParams(*ab)) for order in orders)
+        assert hashlib.sha256(lines.encode()).hexdigest() == REFUSAL_GRID[ab]
+
+    def test_underflowing_mass_needs_no_node(self, monkeypatch):
+        # B(1001, 1001) lies below the doubles; the rule says so without
+        # starting or polishing a node
+        def no_nodes(*args):
+            raise AssertionError("nodes computed for a rule without mass")
+
+        monkeypatch.setattr(integrate_module, "_start_nodes", no_nodes)
+        monkeypatch.setattr(integrate_module, "_polish", no_nodes)
+        with pytest.raises(NumericalError) as failure:
+            gauss_jacobi_rule(600, ModelParams(1000, 1000))
+        assert str(failure.value) == (
+            "Gauss rule of order 600: the weight's total mass underflows to 0.0"
+        )
+
+    def test_stalled_nodes_are_counted_once_per_polish(self, monkeypatch):
+        # the Sturm count at the 140 midpoints runs after each of the two
+        # polishes; the stall message reads the second verdict
+        midpoint_counts = []
+        real_count = integrate_module._zeros_above
+
+        def spy(xs, diag, off):
+            midpoint_counts.append(xs.size == 140)
+            return real_count(xs, diag, off)
+
+        monkeypatch.setattr(integrate_module, "_zeros_above", spy)
+        with pytest.raises(NumericalError, match="141 nodes stall at binary64's resolution"):
+            gauss_jacobi_rule(141, ModelParams(10**12, 0))
+        assert midpoint_counts.count(True) == 2
+
+
 class TestOrthonormalityTable:
     def test_exact_engine_is_identity(self):
         table = orthonormality_table(6, ModelParams(2, 1), "exact")
