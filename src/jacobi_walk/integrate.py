@@ -45,9 +45,10 @@ three-term recurrence over all nodes at once and holds O(M) numbers:
    the midpoints on either side of it, and converged when its last Newton
    step was small against its nearest gap.  A node that is not both is
    bisected afresh with the same count and polished again; if it still
-   fails, NumericalError is raised.  The weights are 1 / sum_k p_k**2 at
-   the nodes (the Christoffel-Darboux kernel), read off a final sweep; they
-   are the only step that needs the weight's total mass, whose underflow is
+   fails, or a weight is not a positive double, ``_refusal`` names why
+   and NumericalError is raised.  The weights are 1 / sum_k p_k**2 at the
+   nodes (the Christoffel-Darboux kernel), read off a final sweep; they are
+   the only step that needs the weight's total mass, whose underflow is
    refused before step 1.
 
 The extended precision matters because downstream identities divide by
@@ -385,33 +386,57 @@ def _christoffel_sum(xs, diag, off):
     return kernel
 
 
-def _raise_unresolved(order: int, bisected, diag, off) -> None:
-    """Raise NumericalError naming binary64's resolution if zeros collide.
+def _refusal(nodes, step, placed, converged, bisected, weights, diag, off) -> str | None:
+    """Why the rule with these nodes and weights is refused, or None.
 
-    Bisection narrows each bracket down to the spacing of the doubles, so
-    equal neighbours in ``bisected`` can be distinct zeros that round to
-    one double: 1 - 2**-53 when a huge alpha puts them within 1e-19 of 1.
-    The Sturm count confirms it when it finds two or more zeros between the
-    doubles on either side of the tied one.
+    ``placed`` and ``converged`` are the nodes' last verdict, ``bisected``
+    the brackets' midpoints if any node was bisected.  For verified nodes
+    the reasons are tried in this order: a negative or nan weight, then
+    weights that round to 0.0.  For nodes still unverified after
+    bisection: distinct zeros that round to one double, weights that round
+    to 0.0, Newton stalled at binary64's resolution, and else the root
+    count.
     """
-    tied = np.flatnonzero(np.diff(bisected) <= 0.0)
-    if not tied.size:
-        return
-    value = float(bisected[tied[0]])
-    above = _zeros_above(np.array([np.nextafter(value, -1.0), np.nextafter(value, 2.0)]), diag, off)
-    if above[0] - above[1] >= 2:
-        count = np.count_nonzero(bisected == value)
-        raise NumericalError(
-            f"Gauss rule of order {order}: {count} nodes round to the one double {value!r}; "
-            f"binary64 resolves only steps of {np.spacing(value):.3g} there"
-        )
-
-
-def _raise_underflow(order: int, weights) -> None:
-    """Raise NumericalError counting the weights that round to 0.0, if any."""
     zeros = np.count_nonzero(weights == 0.0)
-    if zeros:
-        raise NumericalError(f"Gauss rule of order {order}: {zeros} weights underflow binary64")
+    underflow = f"{zeros} weights underflow binary64" if zeros else None
+    unverified = ~(placed & converged)
+    if not unverified.any():
+        # each node passed the check with both its gaps > 0: 0 < nodes[0] < ... < nodes[-1] < 1
+        # a negative weight, also one that underflows to -0.0, or a nan weight
+        if np.any(np.signbit(weights) | np.isnan(weights)):
+            return "nonpositive weight"
+        return underflow
+    # Bisection narrows each bracket down to the spacing of the doubles, so
+    # equal neighbours in ``bisected`` can be distinct zeros that round to one
+    # double: 1 - 2**-53 when a huge alpha puts them within 1e-19 of 1.  The
+    # Sturm count confirms it when it finds two or more zeros between the
+    # doubles on either side of the tied one.
+    tied = np.flatnonzero(np.diff(bisected) <= 0.0)
+    if tied.size:
+        value = float(bisected[tied[0]])
+        around = np.array([np.nextafter(value, -1.0), np.nextafter(value, 2.0)])
+        above = _zeros_above(around, diag, off)
+        if above[0] - above[1] >= 2:
+            return (
+                f"{np.count_nonzero(bisected == value)} nodes round to the one double "
+                f"{value!r}; binary64 resolves only steps of {np.spacing(value):.3g} there"
+            )
+    # the end nodes of a huge exponent can fail the check while their weights
+    # lie below the double range; the unverified ones may be nan
+    if underflow:
+        return underflow
+    # within 1e-9 of 1 a double keeps few digits of 1 - x: a last step of half
+    # an ulp cannot move its node, yet can exceed _CONVERGED of its gap
+    ulp = np.where(unverified, np.spacing(nodes), 0.0)
+    if placed.all() and np.all(converged | (np.abs(step) <= ulp / 2)):
+        share = ulp / _nearest_gap(nodes)
+        k = np.argmax(share)
+        return (
+            f"{np.count_nonzero(unverified)} nodes stall at binary64's resolution; near "
+            f"{float(nodes[k])!r} it resolves 1 - x only in steps of {ulp[k]:.3g}, "
+            f"{share[k]:.2g} of the gap to the nearer node"
+        )
+    return f"{np.count_nonzero(unverified)} nodes fail the root-count check"
 
 
 @dataclass(frozen=True)
@@ -451,13 +476,9 @@ def gauss_jacobi_rule(order, params: ModelParams) -> QuadratureRule:
     weights are the reciprocal Christoffel-Darboux kernel
     1 / sum_{k<M} p_k**2 at the nodes (equal to the weight's total mass
     times the squared first eigenvector components).  Raises
-    NumericalError, in this order: if the one-step law overflows binary64
-    or the weight's total mass underflows (both before any node is
-    computed); if a node fails the root-count check even after bisection
-    (named as binary64's resolution when distinct zeros round to one double
-    or Newton stalls below an ulp short of convergence, and as an underflow
-    when some weights at the polished nodes round to 0.0); if a weight is
-    not positive or underflows.
+    NumericalError if the one-step law overflows binary64 or the weight's
+    total mass underflows, both before any node is computed, and else for
+    the reason ``_refusal`` gives.
     """
     order = check_int(order, "quadrature order", 1)
     diag, off, mass = _symmetrized_recurrence(order, params)
@@ -480,41 +501,17 @@ def gauss_jacobi_rule(order, params: ModelParams) -> QuadratureRule:
     # at the ends, and the root-count check sends those nodes to bisection.
     xs, step = _polish(_start_nodes(order, *params.require_float()), diag, off)
     placed, converged = _verdict(xs.astype(float), step, diag, off)
-    unverified = ~(placed & converged)
-    if unverified.any():
-        lanes = np.flatnonzero(unverified)
+    lanes = np.flatnonzero(~(placed & converged))
+    bisected = None
+    if lanes.size:
         bisected = _bisect(lanes, diag, off)
         xs[lanes], step[lanes] = _polish(bisected, diag, off)
         placed, converged = _verdict(xs.astype(float), step, diag, off)
-        unverified = ~(placed & converged)
-        if unverified.any():
-            _raise_unresolved(order, bisected, diag, off)
     weights = (np.longdouble(mass) / _christoffel_sum(xs, diag, off)).astype(float)
     nodes = xs.astype(float)
-    if unverified.any():
-        # the end nodes of a huge exponent can fail the check while their
-        # weights lie below the double range; the unverified ones may be nan
-        _raise_underflow(order, weights)
-        # within 1e-9 of 1 a double keeps few digits of 1 - x: a last step of
-        # half an ulp cannot move its node, yet can exceed _CONVERGED of its gap
-        ulp = np.where(unverified, np.spacing(nodes), 0.0)
-        if placed.all() and np.all(converged | (np.abs(step) <= ulp / 2)):
-            share = ulp / _nearest_gap(nodes)
-            k = np.argmax(share)
-            raise NumericalError(
-                f"Gauss rule of order {order}: {np.count_nonzero(unverified)} nodes stall at "
-                f"binary64's resolution; near {float(nodes[k])!r} it resolves 1 - x only in "
-                f"steps of {ulp[k]:.3g}, {share[k]:.2g} of the gap to the nearer node"
-            )
-        raise NumericalError(
-            f"Gauss rule of order {order}: {np.count_nonzero(unverified)} nodes "
-            "fail the root-count check"
-        )
-    # each node passed the check with both its gaps > 0: 0 < nodes[0] < ... < nodes[-1] < 1
-    # a negative weight, also one that underflows to -0.0, or a nan weight
-    if np.any(np.signbit(weights) | np.isnan(weights)):
-        raise NumericalError(f"Gauss rule of order {order}: nonpositive weight")
-    _raise_underflow(order, weights)
+    reason = _refusal(nodes, step, placed, converged, bisected, weights, diag, off)
+    if reason:
+        raise NumericalError(f"Gauss rule of order {order}: {reason}")
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return QuadratureRule(order=order, params=params, nodes=nodes, weights=weights)

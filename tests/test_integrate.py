@@ -512,6 +512,42 @@ class TestRefusalGrid:
             "Gauss rule of order 600: the weight's total mass underflows to 0.0"
         )
 
+    @pytest.mark.parametrize(
+        "order, ab, garbage, reason",
+        [
+            (5, (10**20, 0), False, "5 nodes round to the one double 0.9999999999999999; "
+             "binary64 resolves only steps of 1.11e-16 there"),
+            (141, (10**12, 0), False, "1 weights underflow binary64"),
+            (7, (1, 1), True, "1 weights underflow binary64"),
+            (20, (3, 5), False, "1 weights underflow binary64"),
+        ],
+        ids=["tie", "stall", "root-count", "verified"],
+    )
+    def test_which_refusal_wins_over_one_underflow(self, monkeypatch, order, ab, garbage, reason):
+        # node 0's weight is planted to 0.0: zeros that round to one double
+        # still win, and the underflow wins over the stall, over the root
+        # count of test_unresolved_nodes_raise and in a verified rule
+        real_sum = integrate_module._christoffel_sum
+
+        def planted(xs, diag, off):
+            kernel = real_sum(xs, diag, off)
+            kernel[0] = np.inf
+            return kernel
+
+        monkeypatch.setattr(integrate_module, "_christoffel_sum", planted)
+        if garbage:
+            monkeypatch.setattr(
+                integrate_module, "_start_nodes", lambda order, a, b: np.full(order, 0.5)
+            )
+            monkeypatch.setattr(
+                integrate_module, "_bisect", lambda lanes, diag, off: np.full(lanes.size, 0.5)
+            )
+        gauss_jacobi_rule.cache_clear()
+        with pytest.raises(NumericalError) as failure:
+            gauss_jacobi_rule(order, ModelParams(*ab))
+        gauss_jacobi_rule.cache_clear()
+        assert str(failure.value) == f"Gauss rule of order {order}: {reason}"
+
     def test_stalled_nodes_are_counted_once_per_polish(self, monkeypatch):
         # the Sturm count at the 140 midpoints runs after each of the two
         # polishes; the stall message reads the second verdict
