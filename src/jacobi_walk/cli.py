@@ -14,11 +14,16 @@ the rows a block at a time.  No field ever needs quoting (names, numbers
 and p/q text hold no comma, quote or line break), and a column shorter
 than the table, as stationary's residual, prints empty cells.
 
-Every exact column is text before ``render``: the exact tables (coeffs,
-transition by matrix or km, stationary, orthocheck) format each cell from
-a library core's integer numerator and denominator as str(Fraction) prints
-it, without forming a Fraction, and ``eval`` takes str() of the Fractions
-of its exact sweep.
+Every command returns columns of three kinds: a range; a numpy array,
+float64 for float values and integer for indices and counts; or a list of
+text for exact cells.  The exact tables (coeffs, transition by matrix or
+km, stationary, orthocheck) format each cell from a library core's integer
+numerator and denominator as str(Fraction) prints it, without forming a
+Fraction, and ``eval`` takes str() of the Fractions of its exact sweep.
+The float transition rows come from the public ``matrix_power_row`` and
+``spectral_transition_row``, wrapped once in an array, rather than from
+their array cores in ``chain``: CI's traced benchmark step counts those
+public calls.
 
 Exit codes: 0 success, 2 argument error (message names the offending
 flag; an unwritable --output counts as one), 3 numerical failure (e.g. a
@@ -50,7 +55,7 @@ from .chain import (
 )
 from .integrate import _exact_spectral_terms, gauss_jacobi_rule, orthonormality_table
 from .model import ENGINES, ModelParams, NumericalError, check_int
-from .polynomials import _law_table, _poly_values, _ratios, _step_table
+from .polynomials import _law_table, _poly_values, _ratios, _step_table, poly_table
 from .urn import binomial_estimate, terminal_state_counts
 
 __all__ = ["main"]
@@ -232,9 +237,10 @@ def cmd_eval(args, params: ModelParams) -> dict:
         raise UsageError(f"--x must be a number or fraction, got {args.x!r}") from None
     if not 0 <= x <= 1:
         raise UsageError(f"--x must lie in [0, 1], got {args.x}")
-    values = _poly_values(args.n_max, x, params, args.engine)
     if args.engine == "exact":  # the sweep runs on Fractions; render takes their text
-        values = list(map(str, values))
+        values = list(map(str, _poly_values(args.n_max, x, params, "exact")))
+    else:
+        values = poly_table(args.n_max, [x], params)[:, 0]
     return {"n": range(args.n_max + 1), "value": values}
 
 
@@ -263,9 +269,9 @@ def cmd_transition(args, params: ModelParams) -> dict:
             else:
                 row = _texts(*_power_row(args.t, args.i, args.j_max, params, "exact"))
         elif args.method == "km":
-            row = spectral_transition_row(args.t, args.i, params, args.j_max, "float")
+            row = np.array(spectral_transition_row(args.t, args.i, params, args.j_max, "float"))
         else:
-            row = matrix_power_row(args.t, args.i, args.j_max, params, "float")
+            row = np.array(matrix_power_row(args.t, args.i, args.j_max, params, "float"))
         return {"j": states, "probability": row}
     if args.trajectories is None or args.seed is None:
         raise UsageError("--method mc requires --trajectories and --seed")
@@ -304,15 +310,15 @@ def cmd_quadrule(args, params: ModelParams) -> dict:
 
 
 def _check_finite(columns: dict) -> None:
-    """Raise NumericalError naming a float table's first inf or nan cell in row order.
+    """Raise NumericalError naming a table's first inf or nan cell in row order.
 
-    Only float arrays and lists (of floats, in a float table) are checked:
-    a range or an integer array has no inf or nan to find.
+    Only float64 arrays are checked: a range, an integer array or exact text
+    has no inf or nan to find.
     """
     bad = {}
     for name, column in columns.items():
-        if isinstance(column, list) or getattr(column, "dtype", None) == np.float64:
-            finite = np.isfinite(np.asarray(column, dtype=float))
+        if getattr(column, "dtype", None) == np.float64:
+            finite = np.isfinite(column)
             if not finite.all():
                 bad[name] = finite.argmin()
     if bad:
@@ -328,23 +334,14 @@ def _cells(column) -> list:
     return column.tolist() if isinstance(column, np.ndarray) else column
 
 
-def _cell_text(cell) -> str:
-    """One cell as csv.writer prints it: repr for a float, str for the rest,
-    and empty for None."""
-    if cell is None:
-        return ""
-    return repr(cell) if isinstance(cell, float) else str(cell)
-
-
 def _csv_texts(column, rows: int):
     """The function from a slice of rows to a column's CSV fields there.
 
-    One C-level map per column kind: float64 cells through float.__repr__;
-    an index column (a range, or integers in 0..rows-1 such as orthocheck's
-    divmod pair) formats each distinct integer once, through a list no
-    longer than the table, and other integers through int.__repr__; lists
-    of text pass as they are, lists of floats go through float.__repr__ and
-    other lists through ``_cell_text``.
+    A column is one of three kinds.  A float64 array prints through
+    float.__repr__; an index column (a range, or integers in 0..rows-1 such
+    as orthocheck's divmod pair) formats each distinct integer once, through
+    a list no longer than the table, and other integers through
+    int.__repr__; a list holds exact text and passes as it is.
     """
     if isinstance(column, range):
         return lambda block: map(str, column[block])
@@ -356,11 +353,7 @@ def _csv_texts(column, rows: int):
         else:
             text = int.__repr__
         return lambda block: map(text, column[block].tolist())
-    kinds = set(map(type, column))
-    if kinds <= {str}:
-        return lambda block: column[block]
-    text = float.__repr__ if kinds == {float} else _cell_text
-    return lambda block: map(text, column[block])
+    return lambda block: column[block]
 
 
 # rows turned into text and joined at a time: the fields of one block are
@@ -393,8 +386,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         columns = args.run(args, ModelParams(args.alpha, args.beta))
-        if args.engine == "float":  # exact tables hold only integers and text
-            _check_finite(columns)
+        _check_finite(columns)
     except UsageError as exc:
         print(f"jacobi-walk: error: {exc}", file=sys.stderr)
         return 2

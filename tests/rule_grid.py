@@ -4,12 +4,16 @@ Run from the repository root with the package importable, for example
 
     PYTHONPATH=src python3 tests/rule_grid.py > grid.txt
 
-and compare the output of two trees with ``diff``.  For each exponent pair
-it prints the sha256 over one line per order: the sha256 of the rule's
-nodes and weights, or the text of its NumericalError.  The rule cache is
-cleared before each rule, so every rule is built from scratch.  The last
-line counts the rules and the refusals (4221 and 262).  pytest does not
-collect this file; it takes about 25 s on one x86-64 core.
+and compare the output of two trees with ``diff``.  ``rule_grid.txt``
+beside this file holds the output of the committed tree, and CI diffs
+against it, so a change that moves a rule updates that file too.  The
+digests assume that np.longdouble is the x87 80-bit type.
+
+For each exponent pair it prints the sha256 over one line per order: the
+sha256 of the rule's nodes and weights, or the text of its NumericalError.
+The rule cache is cleared before each rule, so every rule is built from
+scratch.  The last line counts the rules and the refusals (4221 and 262).
+pytest does not collect this file; it takes about 25 s on one x86-64 core.
 """
 
 import hashlib

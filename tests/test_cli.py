@@ -419,9 +419,7 @@ def planted_table(rows):
         "value": np.resize(specials, rows) * (1 + np.arange(rows) % 3),
         "count": 300000 + 1009 * np.arange(rows, dtype=np.int64) % 977,
         "exact": [str(Fraction(k - 3, 7)) for k in range(rows)],
-        "point": [k / 3 - 0.5 for k in range(rows)],
-        "mixed": ([None, -0.0, 12, "1/2", 0.1, 2**70] * rows)[:rows],
-        "residual": [(-1) ** k * 2.0**-k for k in range(rows - 1)],
+        "residual": np.array([(-1) ** k * 2.0**-k for k in range(rows - 1)]),
     }
 
 
@@ -441,7 +439,7 @@ class TestCsvBytes:
         assert text == oracle.getvalue()
         header, records = parse_csv(text)
         assert header == list(columns) and len(records) == rows
-        for name in ("value", "point", "residual"):
+        for name in ("value", "residual"):
             k, expected = header.index(name), cells[header.index(name)]
             read = [float(record[k]) for record in records[: len(expected)]]
             assert [x.hex() for x in read] == [x.hex() for x in expected], name
@@ -839,6 +837,26 @@ class TestExactChecksAreComputed:
         assert calls <= 4 * 401
 
 
+def command_columns(command, method, engine):
+    """The columns one command returns at (3, 5), before ``render``."""
+    args = Namespace(
+        engine=engine, n_max=6, t=5, i=2, j_max=8, i_max=3, x="3/8", n0=2, points=4,
+        method=method, trajectories=None, seed=None, threads=None,
+    )
+    if command == "simulate" or method == "mc":
+        args.trajectories, args.seed = 100, 1
+    columns = getattr(cli_module, f"cmd_{command}")(args, ModelParams(3, 5))
+    for column in columns.values():  # a range, an array, or a list of text
+        assert isinstance(column, (range, np.ndarray)) or (
+            type(column) is list and all(type(c) is str for c in column)
+        )
+    return columns
+
+
+def is_float_array(column):
+    return isinstance(column, np.ndarray) and column.dtype == np.float64
+
+
 @pytest.mark.parametrize(
     "command, method, exact",
     [
@@ -847,16 +865,27 @@ class TestExactChecksAreComputed:
         ("transition", "km", ("probability",)),
         ("stationary", None, ("pi", "residual")),
         ("orthocheck", None, ("value",)),
+        ("eval", None, ("value",)),
     ],
 )
 def test_exact_columns_leave_their_command_as_text(command, method, exact):
-    args = Namespace(
-        engine="exact", n_max=6, t=5, i=2, j_max=8, i_max=3, method=method,
-        trajectories=None, seed=None, threads=None,
-    )
-    columns = getattr(cli_module, f"cmd_{command}")(args, ModelParams(3, 5))
-    for name in exact:
-        assert type(columns[name]) is list and all(type(c) is str for c in columns[name])
+    text = command_columns(command, method, "exact")
+    assert all(type(text[name]) is list for name in exact)
+    floats = command_columns(command, method, "float")
+    assert all(is_float_array(floats[name]) for name in exact)
+
+
+@pytest.mark.parametrize(
+    "command, method, floats",
+    [
+        ("transition", "mc", ("probability", "stderr")),
+        ("simulate", None, ("estimate", "stderr")),
+        ("quadrule", None, ("node", "weight")),
+    ],
+)
+def test_float_only_columns_leave_their_command_as_arrays(command, method, floats):
+    columns = command_columns(command, method, "float")
+    assert all(is_float_array(columns[name]) for name in floats)
 
 
 class TestMonteCarloCommands:
