@@ -58,7 +58,6 @@ import numpy as np
 
 from .model import ModelParams, NumericalError, check_engine, check_int
 from .polynomials import (
-    StepCoefficients,
     _invariant_numerators,
     _law_table,
     _ratios,
@@ -90,7 +89,8 @@ class BandedTransition:
     sub holds down_1..down_{size-1} (the entry at row n, column n-1), diag
     holds stay_0..stay_{size-1}, sup holds up_0..up_{size-2}.  Every
     interior row sums to 1 (exactly in rational mode); the last row sums to
-    1 - up_{size-1}, i.e. truncation leaks mass upward only.
+    1 - up_{size-1}, i.e. truncation leaks mass upward only.  Row n of the
+    untruncated matrix is ``step_coefficients(n, params, engine)``.
     """
 
     size: int
@@ -99,21 +99,6 @@ class BandedTransition:
     sup: tuple
     params: ModelParams
     engine: str
-
-    def row(self, n: int) -> StepCoefficients:
-        """The retained entries of row n as a StepCoefficients triple.
-
-        Entries clipped by the truncation read as zero.
-        """
-        if not 0 <= n < self.size:
-            raise IndexError(f"row {n} outside truncation of size {self.size}")
-        zero = Fraction(0) if self.engine == "exact" else 0.0
-        return StepCoefficients(
-            n=n,
-            up=self.sup[n] if n < self.size - 1 else zero,
-            stay=self.diag[n],
-            down=self.sub[n - 1] if n > 0 else zero,
-        )
 
     def propagate(self, mass) -> list:
         """One walk step applied to a row vector of state masses."""
@@ -199,8 +184,17 @@ def matrix_power_row(t, i, j_max, params: ModelParams, engine: str = "exact") ->
 
 
 def matrix_power_transition(t, i, j, params: ModelParams) -> Fraction:
-    """(P^t)_{ij} as an exact rational: the brute-force oracle."""
+    """(P^t)_{ij} as an exact rational: the brute-force oracle.
+
+    Requires integer parameters.  Cells with |i - j| > t are unreachable
+    and exactly zero, without a truncation being built.
+    """
     j = check_int(j, "j")
+    t = check_int(t, "t")
+    i = check_int(i, "i")
+    params.require_integral("engine='exact'")
+    if abs(i - j) > t:
+        return Fraction(0)
     return matrix_power_row(t, i, j, params, "exact")[j]
 
 

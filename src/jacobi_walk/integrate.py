@@ -564,8 +564,12 @@ def orthonormality_table(n_max, params: ModelParams, engine: str = "float"):
     coefficients C and the Hankel matrix H of the normalized moments, and
     returns a nested list of Fractions, equal to the identity matrix by
     orthogonality.  The float engine returns an ndarray from a rule of
-    2 * n_max + 1 nodes; the n_max + 1 that degree 2 * n_max needs came out
-    less accurate in most tables.
+    2 * n_max + 1 nodes.  The n_max + 1 nodes that degree 2 * n_max needs
+    were measured less accurate: over alpha, beta in 0..6 and n_max in
+    20..120 (4949 tables), 2635 tables missed the identity by more than
+    1e-11 against 2534, and the worst miss was 1.15e-5, at (0, 6) with
+    n_max 117, against 7.7e-6 at (0, 6) with n_max 112; 1.15e-5 is past
+    the 1e-5 ceiling the benchmark allows float orthocheck.
     """
     n_max = check_int(n_max, "n_max")
     check_engine(engine)

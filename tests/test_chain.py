@@ -60,15 +60,13 @@ class TestBandedTransition:
         assert m.diag == (F(1, 2), F(1, 2))
         assert m.sup == (F(1, 2),)
         assert m.sub == (F(1, 6),)
-        r1 = m.row(1)
-        assert (r1.down, r1.stay, r1.up) == (F(1, 6), F(1, 2), F(0))
 
     def test_interior_rows_sum_to_one(self):
         m = build_transition(9, ModelParams(3, 2), "exact")
+        down = (F(0),) + m.sub
         for n in range(8):
-            assert m.row(n).total == 1
-        last = m.row(8)
-        assert last.total == 1 - step_coefficients(8, ModelParams(3, 2), "exact").up
+            assert down[n] + m.diag[n] + m.sup[n] == 1
+        assert down[8] + m.diag[8] == 1 - step_coefficients(8, ModelParams(3, 2), "exact").up
 
     def test_propagate_conserves_interior_mass(self):
         m = build_transition(30, ModelParams(1, 4), "exact")
@@ -77,11 +75,6 @@ class TestBandedTransition:
         for _ in range(10):
             mass = m.propagate(mass)
         assert sum(mass) == 1  # 10 steps from state 3 cannot reach the edge
-
-    @pytest.mark.parametrize("n", [-1, 5])
-    def test_row_outside_truncation(self, n):
-        with pytest.raises(IndexError, match=f"row {n} outside truncation of size 5"):
-            build_transition(5, ModelParams(1, 1)).row(n)
 
     def test_propagate_rejects_wrong_length(self):
         with pytest.raises(ValueError, match="mass vector of length 4 for size 5"):
@@ -103,6 +96,21 @@ class TestMatrixPower:
         assert matrix_power_transition(1, 3, 2, params) == step_coefficients(
             3, params, "exact"
         ).down
+
+    def test_unreachable_cell_builds_no_truncation(self, monkeypatch):
+        def no_rows(*args):
+            raise AssertionError("an unreachable cell built a truncation")
+
+        monkeypatch.setattr(chain_module, "_power_row", no_rows)
+        params = ModelParams(3, 5)
+        assert matrix_power_transition(3, 0, 20000, params) == 0
+        assert matrix_power_transition(3, 0, 10**9, params) == 0
+        assert matrix_power_transition(3, 10**9, 0, params) == 0
+        with pytest.raises(ValueError, match="requires nonnegative integer alpha"):
+            matrix_power_transition(3, 0, 20000, ModelParams(0.5, 0))
+        for t, i, j in ((-1, 0, 20000), (3, -1, 20000), (3, 0, -1), (3.0, 0, 20000)):
+            with pytest.raises((TypeError, ValueError)):
+                matrix_power_transition(t, i, j, params)
 
     def test_two_step_hand_enumeration(self):
         # hand: a=b=0 from state 0: stay0^2 + up0*down1 = 1/4 + 1/12 = 1/3;

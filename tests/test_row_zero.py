@@ -167,3 +167,23 @@ def test_float_km_row_is_relatively_accurate():
     row = np.array(spectral_transition_row(t, 0, params, t, "float"))
     closed = float_row(t, 3, 5)
     assert np.all(np.abs(row - closed) <= 1e-10 * closed)
+
+
+
+def units_above_floor(row, exact) -> float:
+    """``units`` on the cells whose exact value is above ``FLOOR``."""
+    kept = [(c, e) for c, e in zip(row, exact, strict=True) if e > FLOOR]
+    return units(*zip(*kept))
+
+
+# ROADMAP item 5's banded bound at integer pairs, on a corner-and-centre
+# subset of criterion 2's grid: every pair of 0..6 passes too, in about 11 s.
+@pytest.mark.parametrize("a, b", list(product((0, 3, 6), repeat=2)))
+def test_float_banded_row_within_its_bound_at_integer_pairs(a, b):
+    params = ModelParams(a, b)
+    rows = [(t, 0, exact_row(t, a, b)) for t in (100, 400)]
+    rows.append((100, 10, matrix_power_row(100, 10, 110, params, "exact")))
+    for t, i, exact in rows:
+        k = banded_units(t, i, i + t, a, b)
+        row = matrix_power_row(t, i, i + t, params, "float")
+        assert units_above_floor(row, exact) <= k / (1 - k * U), (t, i)
