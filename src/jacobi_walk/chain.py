@@ -3,40 +3,41 @@
 The walk's one-step matrix P is tridiagonal: row n holds (down_n, stay_n,
 up_n) at columns (n-1, n, n+1), sliced from one ``polynomials._step_table``
 by ``build_transition``.  Two independent routes to the t-step
-probabilities (P^t)_{ij} live here:
+probabilities (P^t)_{ij} live here, each a core for the reachable
+columns of one row:
 
-* ``matrix_power_transition``: t banded row-vector products in exact
-  arithmetic on a finite truncation.  The truncation at
-  N = max(i, j) + t + 1 states is exact, not approximate: starting from i,
-  t steps of a tridiagonal walk reach at most state i + t, and the only
-  coefficient the truncation drops (the up-move out of state N - 1) is
-  never touched by reachable mass.  This is the brute-force oracle.
+* ``_power_row``: t banded row-vector products on the truncation to
+  N = i + t + 1 states.  It is exact, not approximate: t steps from i
+  reach at most state i + t, and the only coefficient the truncation
+  drops (the up-move out of state N - 1) is never touched by reachable
+  mass.  In exact arithmetic this is the brute-force oracle.
 
-* ``spectral_transition``: the Karlin-McGregor representation
+* ``_spectral_row``: the Karlin-McGregor representation
 
       (P^t)_{ij} = pi_j * integral_0^1 x^t Q_i(x) Q_j(x) W(x) dx,
 
-  with pi_j = 1 / norm_squared(j).  Both engines read a row's reachable
-  columns max(0, i - t)..reach, reach = min(j_max, i + t), off one block
-  of ``integrate``'s spectral cells (the Gram matrix is another).  In float
-  mode the integrand of cell j is a polynomial of degree t + i + j, and an
-  M-point Gauss rule is exact up to degree 2M - 1, so one rule with
-  floor((t+i+reach)/2) + 1 nodes integrates every cell of a row exactly
-  up to rounding.  In exact mode the cells come from the closed-form
-  monomial coefficients and the normalized moments, in integers.
+  with pi_j = 1 / norm_squared(j), one block of ``integrate``'s spectral
+  cells (the Gram matrix is another).  In float mode cell j's integrand
+  is a polynomial of degree t + i + j, and an M-point Gauss rule is exact
+  up to degree 2M - 1, so one rule with floor((t+i+j)/2) + 1 nodes for
+  the last column j integrates every cell exactly up to rounding.  In
+  exact mode the cells are integers from the closed-form monomial
+  coefficients and the normalized moments.
+
+Every row and cell goes through one window, ``_row``: it checks the
+arguments once, intersects the requested columns (0..j_max for a row, j
+for a cell) with the band max(0, i - t)..i + t that t steps reach, and
+fills 0 over 1 elsewhere, calling no core when that band is missed.  The
+CLI prints exact rows as numerators over denominators, and the public
+functions divide them by ``polynomials._ratios``.
 
 Banded propagation runs one step body on the bands over one common
 denominator D: float64 with D = 1, or for the exact engine the integers
 the law's numerators become over the lcm D of its denominators.  Each
 state's new mass adds the same products in the same order as a plain
 loop over states would, so neither engine's results depend on the
-vectorization.
-``BandedTransition.propagate`` runs it on Fractions, independently.
-
-Exact rows and residuals are integer numerators over denominators
-(``_power_row`` and ``_residual_terms`` for both engines, ``_spectral_row``
-for the exact km row), which the CLI prints as they are and the public
-functions divide by ``polynomials._ratios``.
+vectorization.  ``BandedTransition.propagate`` runs the same step body on
+Fractions.
 
 ``stationarity_residuals`` checks the fixed-point identity pi P = pi for
 the pi_0-normalized invariant measure state by state, forming pi P with
@@ -146,8 +147,8 @@ def _scaled_bands(N: int, params: ModelParams, engine: str) -> tuple:
     return (stay, up[:-1], down[1:]), den
 
 
-def _power_row(t: int, i: int, j_max: int, params: ModelParams, engine: str) -> tuple:
-    """Row i of P^t, entries j = 0..j_max, as an array of numerators m_j over one scale.
+def _power_row(t: int, i: int, cols: range, params: ModelParams, engine: str) -> tuple:
+    """Columns ``cols`` of row i of P^t by t steps on i + t + 1 states: numerators over a scale.
 
     The float row is the values over a scale of 1.  The exact one runs on
     the integer bands of ``_scaled_bands`` over one common denominator D,
@@ -156,7 +157,7 @@ def _power_row(t: int, i: int, j_max: int, params: ModelParams, engine: str) -> 
     every step keeps the integers near the size of the row's reduced
     denominators.
     """
-    bands, den = _scaled_bands(max(i, j_max) + t + 1, params, engine)
+    bands, den = _scaled_bands(i + t + 1, params, engine)
     mass = np.zeros(bands[0].size, dtype=bands[0].dtype)
     mass[i] = 1
     scale = 1
@@ -167,73 +168,83 @@ def _power_row(t: int, i: int, j_max: int, params: ModelParams, engine: str) -> 
             common = math.gcd(scale, *mass)
             mass //= common
             scale //= common
-    return mass[: j_max + 1], scale
+    return mass[cols.start : cols.stop], scale
+
+
+def _spectral_row(t: int, i: int, cols: range, params: ModelParams, engine: str) -> tuple:
+    """Columns ``cols`` of row i of P^t by the spectral integral: numerators over denominators.
+
+    Exact cells are the integers of ``_exact_spectral_terms``.  Float cells
+    come off one Gauss rule with floor((t+i+cols[-1])/2) + 1 nodes, over 1;
+    rounding dust within 1e-9 of [0, 1] is clamped, and a cell further out
+    raises NumericalError naming it.
+    """
+    if engine == "exact":
+        return _exact_spectral_terms(t, [i], cols, params)
+    cells = _float_spectral_cells(t, [i], cols, params, (t + i + cols[-1]) // 2 + 1)[0]
+    # nan is out of range too; clip keeps -0.0, which lies in [0, 1]
+    bad = np.flatnonzero(~((cells >= -_CLAMP_SLACK) & (cells <= 1.0 + _CLAMP_SLACK)))
+    if bad.size:
+        raise NumericalError(
+            f"spectral_transition(t={t}, i={i}, j={cols[bad[0]]}): value "
+            f"{float(cells[bad[0]])!r} outside [0, 1] beyond rounding slack"
+        )
+    return np.clip(cells, 0.0, 1.0), 1
+
+
+def _row(core, t, i, js: range, params: ModelParams, engine: str) -> tuple:
+    """Row i of P^t at the columns js by ``core``: arrays of numerators and denominators.
+
+    Checks t, i, the engine and the exact engine's integer exponents.  The
+    columns of js in the band max(0, i-t)..i+t that t steps reach are
+    ``core(t, i, cols, params, engine)``; every other cell is exactly 0 over
+    1, and the core is not called when js misses the band.
+    """
+    t = check_int(t, "t")
+    i = check_int(i, "i")
+    dtype = float
+    if check_engine(engine) == "exact":
+        params.require_integral("engine='exact'")
+        dtype = object
+    nums, dens = np.zeros(len(js), dtype=dtype), np.ones(len(js), dtype=dtype)
+    cols = range(max(js.start, i - t), min(js.stop, i + t + 1))
+    if cols:
+        reach = slice(cols.start - js.start, cols.stop - js.start)
+        nums[reach], dens[reach] = core(t, i, cols, params, engine)
+    return nums, dens
 
 
 def matrix_power_row(t, i, j_max, params: ModelParams, engine: str = "exact") -> list:
     """Row i of P^t, entries j = 0..j_max, by repeated banded products.
 
     Exact by the truncation argument in the module docstring; the float
-    variant runs the same recursion in binary64.  The row is
-    ``_power_row``'s numerators over its scale, through ``_ratios``.
+    variant runs the same recursion in binary64.
     """
-    t = check_int(t, "t")
-    i = check_int(i, "i")
-    j_max = check_int(j_max, "j_max")
-    return _ratios(*_power_row(t, i, j_max, params, engine), engine).tolist()
+    js = range(check_int(j_max, "j_max") + 1)
+    return _ratios(*_row(_power_row, t, i, js, params, engine), engine).tolist()
 
 
 def matrix_power_transition(t, i, j, params: ModelParams) -> Fraction:
     """(P^t)_{ij} as an exact rational: the brute-force oracle.
 
-    Requires integer parameters.  Cells with |i - j| > t are unreachable
-    and exactly zero, without a truncation being built.
+    Requires integer parameters.  Cells with |i - j| > t are exactly zero,
+    without a truncation being built.
     """
     j = check_int(j, "j")
-    t = check_int(t, "t")
-    i = check_int(i, "i")
-    params.require_integral("engine='exact'")
-    if abs(i - j) > t:
-        return Fraction(0)
-    return matrix_power_row(t, i, j, params, "exact")[j]
+    return _ratios(*_row(_power_row, t, i, range(j, j + 1), params, "exact"), "exact").item()
 
 
 def spectral_transition(t, i, j, params: ModelParams, engine: str = "float"):
     """(P^t)_{ij} via the Karlin-McGregor integral representation.
 
-    Entry j of ``spectral_transition_row`` with j_max = j; in float mode its
-    Gauss rule has floor((t+i+j)/2) + 1 nodes.  Float mode clamps rounding
-    dust at the [0, 1] boundary (within 1e-9) and raises NumericalError
-    further out.  Exact mode returns a Fraction and requires integer
-    parameters.  Cells with |i - j| > t are unreachable and exactly zero.
+    The spectral route's one column j, equal to entry j of
+    ``spectral_transition_row`` with j_max = j.  Float mode clamps this
+    cell's rounding dust at the [0, 1] boundary (within 1e-9) and raises
+    NumericalError further out.  Exact mode returns a Fraction and requires
+    integer parameters.  Cells with |i - j| > t are exactly zero.
     """
-    t = check_int(t, "t")
-    i = check_int(i, "i")
     j = check_int(j, "j")
-    if check_engine(engine) == "exact":
-        params.require_integral("engine='exact'")
-    if abs(i - j) > t:
-        # unreachable in t steps of a birth-death walk
-        return Fraction(0) if engine == "exact" else 0.0
-    return spectral_transition_row(t, i, params, j, engine)[j]
-
-
-def _reach(t: int, i: int, j_max: int) -> range:
-    """The columns max(0, i-t)..min(j_max, i+t) of row i that t steps reach."""
-    return range(max(0, i - t), min(j_max, i + t) + 1)
-
-
-def _spectral_row(t: int, i: int, j_max: int, params: ModelParams) -> tuple[list, list]:
-    """Exact row i of P^t, entries j = 0..j_max, as numerators over denominators.
-
-    The spectral cells' integers in the reachable columns, 0 over 1 elsewhere.
-    """
-    nums, dens = [0] * (j_max + 1), [1] * (j_max + 1)
-    cols = _reach(t, i, j_max)
-    if cols:
-        terms = _exact_spectral_terms(t, [i], cols, params)
-        nums[cols.start : cols.stop], dens[cols.start : cols.stop] = terms
-    return nums, dens
+    return _ratios(*_row(_spectral_row, t, i, range(j, j + 1), params, engine), engine).item()
 
 
 def spectral_transition_row(t, i, params: ModelParams, j_max, engine: str = "float") -> list:
@@ -243,25 +254,8 @@ def spectral_transition_row(t, i, params: ModelParams, j_max, engine: str = "flo
     ``integrate``'s spectral cells; float mode clamps their rounding dust
     at the [0, 1] boundary.  Unreachable cells are exactly zero in both.
     """
-    t = check_int(t, "t")
-    i = check_int(i, "i")
-    j_max = check_int(j_max, "j_max")
-    if check_engine(engine) == "exact":
-        params.require_integral("engine='exact'")
-        return _ratios(*_spectral_row(t, i, j_max, params), engine).tolist()
-    row = [0.0] * (j_max + 1)
-    cols = _reach(t, i, j_max)
-    if cols:
-        cells = _float_spectral_cells(t, [i], cols, params, (t + i + cols[-1]) // 2 + 1)[0]
-        # nan is out of range too; clip keeps -0.0, which lies in [0, 1]
-        bad = np.flatnonzero(~((cells >= -_CLAMP_SLACK) & (cells <= 1.0 + _CLAMP_SLACK)))
-        if bad.size:
-            raise NumericalError(
-                f"spectral_transition(t={t}, i={i}, j={cols[bad[0]]}): value "
-                f"{float(cells[bad[0]])!r} outside [0, 1] beyond rounding slack"
-            )
-        row[cols.start : cols.stop] = np.clip(cells, 0.0, 1.0).tolist()
-    return row
+    js = range(check_int(j_max, "j_max") + 1)
+    return _ratios(*_row(_spectral_row, t, i, js, params, engine), engine).tolist()
 
 
 def _residual_terms(N: int, params: ModelParams, engine: str) -> tuple:

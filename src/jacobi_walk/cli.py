@@ -20,10 +20,11 @@ text for exact cells.  The exact tables (coeffs, transition by matrix or
 km, stationary, orthocheck) format each cell from a library core's integer
 numerator and denominator as str(Fraction) prints it, without forming a
 Fraction, and ``eval`` takes str() of the Fractions of its exact sweep.
-The float transition rows come from the public ``matrix_power_row`` and
-``spectral_transition_row``, wrapped once in an array, rather than from
-their array cores in ``chain``: CI's traced benchmark step counts those
-public calls.
+The exact transition rows are ``chain._row``'s numerators and
+denominators of the chosen route's core.  The float ones come from the
+public ``matrix_power_row`` and ``spectral_transition_row``, wrapped once
+in an array, rather than from ``_row``: CI's traced benchmark step counts
+those public calls.
 
 Exit codes: 0 success, 2 argument error (message names the offending
 flag; an unwritable --output counts as one), 3 numerical failure (e.g. a
@@ -49,6 +50,7 @@ import numpy as np
 from .chain import (
     _power_row,
     _residual_terms,
+    _row,
     _spectral_row,
     matrix_power_row,
     spectral_transition_row,
@@ -263,15 +265,15 @@ def cmd_transition(args, params: ModelParams) -> dict:
         given = [flag for flag in mc_flags if getattr(args, flag[2:]) is not None]
         if given:
             raise UsageError(f"--method {args.method} takes no {', '.join(given)} (mc only)")
-        if args.engine == "exact":
-            if args.method == "km":
-                row = _texts(*_spectral_row(args.t, args.i, args.j_max, params))
-            else:
-                row = _texts(*_power_row(args.t, args.i, args.j_max, params, "exact"))
-        elif args.method == "km":
-            row = np.array(spectral_transition_row(args.t, args.i, params, args.j_max, "float"))
+        if args.method == "km":
+            core, public = _spectral_row, spectral_transition_row
         else:
-            row = np.array(matrix_power_row(args.t, args.i, args.j_max, params, "float"))
+            core, public = _power_row, matrix_power_row
+        if args.engine == "exact":
+            row = _texts(*_row(core, args.t, args.i, states, params, "exact"))
+        else:
+            row = public(t=args.t, i=args.i, j_max=args.j_max, params=params, engine="float")
+            row = np.array(row)
         return {"j": states, "probability": row}
     if args.trajectories is None or args.seed is None:
         raise UsageError("--method mc requires --trajectories and --seed")

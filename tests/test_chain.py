@@ -30,10 +30,15 @@ import jacobi_walk.chain as chain_module
 
 F = Fraction
 
+# the non-integer exponent pairs of the other modules' tests
+NON_INTEGER_PAIRS = [(-0.5, 2.75), (0.25, -0.9), (-0.99, 3.5), (-0.5, -0.5), (2.5, 1.5)]
+
 
 def loop_row(t, i, j_max, params, engine):
     """Row i of P^t by the plain list loop over states: the reference that
-    the ndarray propagation must reproduce bit for bit."""
+    the ndarray propagation must reproduce bit for bit.  It keeps the wider
+    truncation to max(i, j_max) + t + 1 states, so a row with j_max far past
+    i + t pins that stepping only i + t + 1 states changes no bit."""
     transition = build_transition(max(i, j_max) + t + 1, params, engine)
     size, diag, sup, sub = transition.size, transition.diag, transition.sup, transition.sub
     mass = [Fraction(0) if engine == "exact" else 0.0] * size
@@ -127,7 +132,8 @@ class TestMatrixPower:
     @pytest.mark.parametrize("ab", [(0, 0), (3, 5), (6, 1), (-0.5, 2.75), (0.25, -0.9)])
     def test_float_matches_list_loop_bit_for_bit(self, ab):
         params = ModelParams(*ab)
-        for t, i, j_max in ((0, 2, 4), (1, 0, 3), (37, 5, 50), (150, 40, 20), (400, 3, 410)):
+        cases = ((0, 2, 4), (1, 0, 3), (37, 5, 50), (150, 40, 20), (400, 3, 410), (5, 0, 300))
+        for t, i, j_max in cases:
             got = matrix_power_row(t, i, j_max, params, "float")
             assert all(type(v) is float for v in got)
             want = loop_row(t, i, j_max, params, "float")
@@ -137,17 +143,33 @@ class TestMatrixPower:
     @pytest.mark.parametrize("ab", [(0, 0), (3, 5), (6, 1)])
     def test_exact_matches_list_loop(self, ab):
         params = ModelParams(*ab)
-        for t, i, j_max in ((0, 2, 4), (1, 0, 3), (25, 4, 30), (60, 10, 5)):
+        for t, i, j_max in ((0, 2, 4), (1, 0, 3), (25, 4, 30), (60, 10, 5), (5, 0, 300)):
             got = matrix_power_row(t, i, j_max, params, "exact")
             assert all(type(v) is Fraction for v in got)
             assert got == loop_row(t, i, j_max, params, "exact")
 
+    @pytest.mark.parametrize("engine", ["float", "exact"])
+    def test_steps_only_the_reachable_states(self, monkeypatch, engine):
+        # three steps from state 0 reach states 0..3, whatever j_max asks for
+        sizes = []
+        scaled_bands = chain_module._scaled_bands
+
+        def spy(N, params, engine):
+            sizes.append(N)
+            return scaled_bands(N, params, engine)
+
+        monkeypatch.setattr(chain_module, "_scaled_bands", spy)
+        row = matrix_power_row(3, 0, 20000, ModelParams(3, 5), engine)
+        assert sizes == [4]
+        assert len(row) == 20001 and not any(row[4:]) and sum(row[:4]) == 1
+
     @pytest.mark.parametrize("a", range(7))
     def test_integer_bands_match_fraction_propagation(self, a):
-        # two exact routes that share only the law's terms: integer bands
-        # over one denominator, and Fraction bands stepped by propagate.
-        # 40 states hold every state reachable in 30 steps from i <= 8
-        # below the clipped last row.
+        # integer bands over one denominator against Fraction bands stepped
+        # by propagate: both run _banded_step, so this checks the integer
+        # scaling and the gcd cancellation, while loop_row above is the
+        # independent reference for the step body.  40 states hold every
+        # state reachable in 30 steps from i <= 8 below the clipped last row.
         for b, i in product(range(7), range(9)):
             params = ModelParams(a, b)
             transition = build_transition(40, params, "exact")
@@ -304,6 +326,45 @@ class TestSpectralTransition:
         for value in (-1e-6, 1.0 + 1e-6, float("nan")):
             with pytest.raises(NumericalError, match=r"^spectral_transition\(t=1, i=0, j=1\): "):
                 row_with(value)
+
+    @pytest.mark.parametrize("ab", [(0, 0), (3, 5), (6, 1)] + NON_INTEGER_PAIRS)
+    def test_float_cell_is_the_rows_last_cell(self, ab):
+        # a cell computes only its own column, on the rule of the row up to j
+        params = ModelParams(*ab)
+        for t, i in ((0, 3), (1, 0), (7, 2), (40, 12), (120, 20)):
+            for j in sorted({0, max(0, i - t), i, i + t // 2, i + t, i + t + 1}):
+                cell = spectral_transition(t, i, j, params, "float")
+                assert type(cell) is float
+                assert cell.hex() == spectral_transition_row(t, i, params, j, "float")[j].hex()
+
+    def test_exact_cell_integrates_one_column(self, monkeypatch):
+        asked = []
+        terms = chain_module._exact_spectral_terms
+
+        def spy(t, rows, cols, params):
+            asked.append(list(cols))
+            return terms(t, rows, cols, params)
+
+        monkeypatch.setattr(chain_module, "_exact_spectral_terms", spy)
+        params = ModelParams(2, 3)
+        for t, i, j in ((6, 2, 3), (9, 0, 9), (4, 7, 3)):
+            cell = spectral_transition(t, i, j, params, "exact")
+            assert asked.pop() == [j]
+            assert cell == matrix_power_transition(t, i, j, params)
+        assert spectral_transition(3, 0, 4, params, "exact") == 0 and asked == []
+
+    def test_float_cell_clamp_judges_that_cell_only(self, monkeypatch):
+        # a neighbouring column's out-of-range dust is not this cell's error
+        values = {0: -1e-6, 1: 0.5}
+        monkeypatch.setattr(
+            chain_module,
+            "_float_spectral_cells",
+            lambda t, rows, cols, params, order: np.array([[values[j] for j in cols]]),
+        )
+        params = ModelParams(0, 0)
+        assert spectral_transition(1, 0, 1, params, "float") == 0.5
+        with pytest.raises(NumericalError, match=r"^spectral_transition\(t=1, i=0, j=0\): "):
+            spectral_transition(1, 0, 0, params, "float")
 
     def test_exact_mode_rejects_fractional_params(self):
         # a reachable cell and one the walk cannot reach in t steps: the

@@ -1,6 +1,8 @@
 """The package's public surface: each name is declared once, in its module's
 ``__all__``, and the package re-exports exactly those lists."""
 
+import inspect
+
 import jacobi_walk
 from jacobi_walk import chain, integrate, model, polynomials, rng, urn
 
@@ -71,3 +73,20 @@ def test_module_lists_name_only_what_the_module_defines():
     for module in MODULES:
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, f"{module.__name__}.__all__ names {missing}"
+
+
+# the transition functions' signatures as released; they read one private
+# row window, which must not leak a parameter or option into them
+SIGNATURES = {
+    "matrix_power_row": "(t, i, j_max, params: 'ModelParams', engine: 'str' = 'exact') -> 'list'",
+    "matrix_power_transition": "(t, i, j, params: 'ModelParams') -> 'Fraction'",
+    "spectral_transition": "(t, i, j, params: 'ModelParams', engine: 'str' = 'float')",
+    "spectral_transition_row": (
+        "(t, i, params: 'ModelParams', j_max, engine: 'str' = 'float') -> 'list'"
+    ),
+}
+
+
+def test_transition_signatures_are_the_released_ones():
+    for name, signature in SIGNATURES.items():
+        assert str(inspect.signature(getattr(jacobi_walk, name))) == signature, name
