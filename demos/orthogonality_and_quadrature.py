@@ -16,7 +16,6 @@ from jacobi_walk import (
     ModelParams,
     gauss_jacobi_rule,
     integrate_poly_exact,
-    integrate_quadrature,
     invariant_measure,
     moment,
     norm_squared,
@@ -42,7 +41,8 @@ print()
 # Arbitrary polynomials go the same way: coefficients lowest degree first.
 poly = [Fraction(1), Fraction(-3), Fraction(0), Fraction(2)]  # 1 - 3x + 2x^3
 exact_val = integrate_poly_exact(poly, params)
-quad_val = integrate_quadrature(lambda x: 1 - 3 * x + 2 * x**3, 2, params)
+rule = gauss_jacobi_rule(2, params)
+quad_val = rule.integrate(1 - 3 * rule.nodes + 2 * rule.nodes**3)
 print(f"integral of 1 - 3x + 2x^3: exact {exact_val} = {float(exact_val):.12f}")
 print(f"                       quadrature {quad_val:.12f}")
 print()

@@ -41,12 +41,11 @@ Fractions.
 
 ``stationarity_residuals`` checks the fixed-point identity pi P = pi for
 the pi_0-normalized invariant measure state by state, forming pi P with
-the same banded step on the same bands, and ``stationarity_residual``
-reports the worst state.  pi is a measure, not a distribution: its total
-mass diverges, so no probability normalization exists and none is
-attempted.  Residuals are reported relative to the local component pi_i,
-since pi_i grows polynomially in i and an absolute residual would be
-dominated by the largest retained component's rounding.
+the same banded step on the same bands.  pi is a measure, not a
+distribution: its total mass diverges, so no probability normalization
+exists and none is attempted.  Residuals are reported relative to the
+local component pi_i, since pi_i grows polynomially in i and an absolute
+residual would be dominated by the largest retained component's rounding.
 """
 
 from __future__ import annotations
@@ -74,7 +73,6 @@ __all__ = [
     "matrix_power_transition",
     "spectral_transition",
     "spectral_transition_row",
-    "stationarity_residual",
     "stationarity_residuals",
 ]
 
@@ -290,12 +288,3 @@ def stationarity_residuals(N, params: ModelParams, engine: str = "float") -> tup
     N = check_int(N, "N", 2)
     (pi, scale), (errors, scaled) = _residual_terms(N, params, check_engine(engine))
     return _ratios(pi, scale, engine).tolist(), _ratios(errors, scaled, engine).tolist()
-
-
-def stationarity_residual(N, params: ModelParams, engine: str = "float"):
-    """Largest relative residual of the fixed-point identity pi P = pi.
-
-    The maximum of ``stationarity_residuals`` over states 0..N-2.  Exact
-    mode returns Fraction(0); the identity is algebraic.
-    """
-    return max(stationarity_residuals(N, params, engine)[1])

@@ -82,7 +82,6 @@ __all__ = [
     "QuadratureRule",
     "gauss_jacobi_rule",
     "integrate_poly_exact",
-    "integrate_quadrature",
     "moment",
     "orthonormality_table",
 ]
@@ -465,8 +464,11 @@ class QuadratureRule:
         return float(np.dot(self.weights, values))
 
 
-# A long-lived process keeps at most 128 rules; an order-M rule holds 16 M
-# bytes of nodes and weights, so 128 rules of order 1500 are about 3 MB.
+# A long-lived process keeps at most 128 rules; the bound is in entries, not
+# bytes (ROADMAP item 6).  An order-M rule holds 16 M bytes of nodes and
+# weights: a rule of order 1500 retains 30.8 KB with its object (tracemalloc),
+# so 128 of them are about 4 MB, but orders are not capped, and 128 rules of
+# order 10**5 would hold about 205 MB of nodes and weights.
 @lru_cache(maxsize=128)
 def gauss_jacobi_rule(order, params: ModelParams) -> QuadratureRule:
     """Build (and cache) the M-point Gauss rule for the weight.
@@ -515,16 +517,6 @@ def gauss_jacobi_rule(order, params: ModelParams) -> QuadratureRule:
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return QuadratureRule(order=order, params=params, nodes=nodes, weights=weights)
-
-
-def integrate_quadrature(f, order, params: ModelParams) -> float:
-    """Approximate the weighted integral of a callable with an M-point rule.
-
-    ``f`` is evaluated once per node; exact for polynomials of degree
-    <= 2 * order - 1.
-    """
-    rule = gauss_jacobi_rule(order, params)
-    return rule.integrate([float(f(x)) for x in rule.nodes])
 
 
 def _float_spectral_cells(t: int, rows, cols, params: ModelParams, order: int) -> np.ndarray:

@@ -66,10 +66,8 @@ class ModelParams:
             # turn the coefficients into NaN downstream
             if not -1 < value < math.inf:
                 raise ValueError(f"{name} must be finite and > -1, got {value}")
-        if isinstance(self.alpha, float) and self.alpha.is_integer():
-            object.__setattr__(self, "alpha", int(self.alpha))
-        if isinstance(self.beta, float) and self.beta.is_integer():
-            object.__setattr__(self, "beta", int(self.beta))
+            if isinstance(value, float) and value.is_integer():
+                object.__setattr__(self, name, int(value))
 
     @property
     def is_integral(self) -> bool:

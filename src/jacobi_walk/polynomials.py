@@ -221,9 +221,11 @@ def _coefficient_numerators(n: int, a: int, b: int) -> tuple[list[int], int]:
     return nums, _rising(b + 1, n)
 
 
-# A long-lived process keeps at most 4096 expansions.  A degree-n entry holds
-# O(n**2) bits, about 6.1 KB at n = 48 with alpha, beta <= 6, so a full cache
-# of such entries is about 25 MB.
+# A long-lived process keeps at most 4096 expansions; the bound is in
+# entries, not bytes (ROADMAP item 6).  A degree-n entry holds O(n**2) bits:
+# about 6.1 KB at n = 48 with alpha, beta <= 6, so a full cache of such
+# entries is about 25 MB, but 0.72 MB at n = 1500 with (alpha, beta) = (3, 5)
+# (tracemalloc), so a full cache of those is about 3 GB.
 @lru_cache(maxsize=4096)
 def monomial_coefficients(n, params: ModelParams) -> tuple[Fraction, ...]:
     """Exact monomial coefficients of Q_n, lowest degree first."""

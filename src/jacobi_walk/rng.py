@@ -110,11 +110,18 @@ class CounterStream:
         return _mix64(self.key + self.counter * _GAMMA)
 
     def draw_below(self, bound) -> int:
-        """Uniform integer in [0, bound) by rejection (unbiased)."""
+        """Uniform integer in [0, bound) by rejection (unbiased).
+
+        bound runs from 1 to 2^64 - 1, the range of the vectorized draw's
+        uint64 lanes; past it the leftover would be 2^64 and reject every
+        raw, so a larger bound raises ValueError before any raw is drawn.
+        """
         bound = check_int(bound, "bound", 1)
+        if bound > _MASK:
+            raise ValueError("bound exceeds the uint64 limit 2**64 - 1")
         # reject raws below 2^64 mod bound, the leftover of the last
         # full block of size bound
-        leftover = ((1 << 64) - bound) % bound if bound > 1 else 0
+        leftover = ((1 << 64) - bound) % bound
         while True:
             raw = self.raw64()
             if raw >= leftover:

@@ -202,6 +202,17 @@ class TestGoldenOutputs:
             target = 1.0 if i == j else 0.0
             assert abs(float(value) - target) <= 1e-11
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: orthocheck scales the orthonormal Gram by "
+        "sqrt(pi_j / pi_i), which blows its rounding up to 4.3e-9 here",
+    )
+    def test_orthocheck_float_tolerance_at_a_lopsided_weight(self):
+        code, text = run_cli("orthocheck", "--alpha", "0", "--beta", "6", "--i-max", "40")
+        assert code == 0
+        _, rows = parse_csv(text)
+        assert max(abs(float(value) - (i == j)) for i, j, value in rows) <= 1e-11
+
     def test_eval_exact(self):
         code, text = run_cli("eval", "--n-max", "1", "--x", "0", "--engine", "exact")
         assert code == 0

@@ -21,7 +21,6 @@ from jacobi_walk import (
     eval_poly,
     gauss_jacobi_rule,
     integrate_poly_exact,
-    integrate_quadrature,
     moment,
     monomial_coefficients,
     norm_squared,
@@ -31,7 +30,7 @@ from jacobi_walk import (
     total_mass,
 )
 import jacobi_walk.integrate as integrate_module
-from jacobi_walk.integrate import _symmetrized_recurrence
+from jacobi_walk.integrate import _orthonormal_sweep, _symmetrized_recurrence
 
 F = Fraction
 
@@ -582,6 +581,23 @@ class TestOrthonormalityTable:
         table = orthonormality_table(12, ModelParams(3, 4), "float")
         assert float(np.abs(table - np.eye(13)).max()) <= 1e-12
 
+    # ROADMAP item 1: the float table is this Gram of the orthonormal
+    # polynomials scaled by sqrt(pi_j / pi_i), which blows its rounding up
+    # to 7.7e-6 at (0, 6, 112) and 1.6e63 at (0, 10**40, 2).  Unscaled, on
+    # the n + 1 nodes that degree 2n needs, the worst miss here is 1.0e-14.
+    @pytest.mark.parametrize(
+        "a, b, n",
+        [(a, b, n) for a in (0, 3, 6) for b in (0, 3, 6) for n in (20, 120)]
+        + [(0, 6, 112), (0, 10**40, 2), (0, 10**20, 2)],
+    )
+    def test_orthonormal_gram_is_identity_before_scaling(self, a, b, n):
+        params = ModelParams(a, b)
+        rule = gauss_jacobi_rule(n + 1, params)
+        nodes = rule.nodes.astype(np.longdouble)
+        table = np.array(list(_orthonormal_sweep(nodes, *_symmetrized_recurrence(n, params))))
+        gram = np.dot(table * rule.weights.astype(np.longdouble), table.T).astype(float)
+        assert float(np.abs(gram - np.eye(n + 1)).max()) <= 1e-13
+
     def test_real_parameters_float_only(self):
         params = ModelParams(-0.5, 0.25)
         table = orthonormality_table(5, params, "float")
@@ -598,20 +614,21 @@ class TestOrthonormalityTable:
 
 class TestIntegrateQuadrature:
     def test_constant_function(self):
-        assert integrate_quadrature(lambda x: 1.0, 3, ModelParams(0, 0)) == pytest.approx(
-            1.0, abs=1e-15
-        )
+        rule = gauss_jacobi_rule(3, ModelParams(0, 0))
+        assert rule.integrate(np.ones(3)) == pytest.approx(1.0, abs=1e-15)
 
     def test_orthogonal_pair(self):
         params = ModelParams(1, 1)
-        f = lambda x: eval_poly(2, x, params) * eval_poly(3, x, params)
-        assert abs(integrate_quadrature(f, 3, params)) <= 1e-13
+        rule = gauss_jacobi_rule(3, params)
+        values = [eval_poly(2, x, params) * eval_poly(3, x, params) for x in rule.nodes]
+        assert abs(rule.integrate(values)) <= 1e-13
 
     def test_weighted_first_moment_pair(self):
         # hand: integral of x*Q_0*Q_1 = up_0 * norm_squared(1) = (1/2)(1/3)
         params = ModelParams(0, 0)
-        f = lambda x: x * eval_poly(1, x, params)
-        assert abs(integrate_quadrature(f, 2, params) - 1.0 / 6.0) <= 1e-14
+        rule = gauss_jacobi_rule(2, params)
+        values = [x * eval_poly(1, x, params) for x in rule.nodes]
+        assert abs(rule.integrate(values) - 1.0 / 6.0) <= 1e-14
 
 
 class TestQuadratureAgainstRationalOracle:

@@ -25,7 +25,6 @@ PUBLIC = [
     "eval_poly",
     "gauss_jacobi_rule",
     "integrate_poly_exact",
-    "integrate_quadrature",
     "invariant_measure",
     "invariant_measure_table",
     "matrix_power_row",
@@ -40,7 +39,6 @@ PUBLIC = [
     "simulate_trajectory",
     "spectral_transition",
     "spectral_transition_row",
-    "stationarity_residual",
     "stationarity_residuals",
     "step_coefficients",
     "step_distribution_exact",

@@ -10,6 +10,18 @@ from jacobi_walk import CounterStream, stream_key, stream_keys
 from jacobi_walk.rng import draw_below_many, raw_many
 
 
+def stop_after_raws(monkeypatch, limit):
+    """Make every CounterStream raise on its draw past ``limit`` raws."""
+    raw64 = CounterStream.raw64
+
+    def limited(stream):
+        if stream.counter >= limit:
+            raise RuntimeError(f"drew more than {limit} raws")
+        return raw64(stream)
+
+    monkeypatch.setattr(CounterStream, "raw64", limited)
+
+
 class TestScalarStream:
     def test_deterministic_replay(self):
         a = CounterStream.from_seed(2024, 5)
@@ -48,6 +60,29 @@ class TestScalarStream:
         draws = [stream.draw_below(bound) for _ in range(200)]
         assert all(0 <= d < bound for d in draws)
         assert stream.counter > 200  # rejections consumed extra raws
+
+    @pytest.mark.parametrize(
+        "bound", [2**64, 2**64 + 1, 10**400], ids=["2**64", "2**64+1", "10**400"]
+    )
+    def test_draw_below_refuses_bounds_past_uint64(self, monkeypatch, bound):
+        # past 2^64 - 1 the leftover is 2^64 and no raw clears it: the
+        # draw would never return.  A stream that fails its ninth raw turns
+        # such a hang into an error
+        stop_after_raws(monkeypatch, 8)
+        stream = CounterStream.from_seed(1)
+        with pytest.raises(ValueError, match=r"^bound exceeds the uint64 limit 2\*\*64 - 1$"):
+            stream.draw_below(bound)
+        assert stream.counter == 0
+
+    def test_draw_below_largest_bound_matches_lane(self):
+        # 2^64 - 1 rejects only the raw 0; the scalar and lane draws agree
+        bound = 2**64 - 1
+        stream = CounterStream.from_seed(1)
+        values, _ = draw_below_many(
+            stream_keys(1, 0, 1), np.zeros(1, dtype=np.uint64), np.full(1, bound, np.uint64)
+        )
+        assert stream.draw_below(bound) == int(values[0])
+        assert stream.counter == 1
 
     def test_seed_validation(self):
         with pytest.raises(ValueError):

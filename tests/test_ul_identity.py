@@ -10,7 +10,8 @@ of the walk at the spectral point 0 (Grunbaum & de la Iglesia, J. Appl.
 Probab. 55 (2018)).  The factors are written here from their closed
 forms, apart from the law's own formula, so the identity checks the law
 and both exact t-step routes against something that shares nothing with
-them.
+them.  The literal urn at (a, b) is held to the law the identity builds
+from the exact rows at (a + 1, b), by criterion 6's z statistic.
 
 The float checks hold the float law and banded route to a relative bound
 from running error analysis (Higham, Accuracy and Stability of Numerical
@@ -25,6 +26,7 @@ test holds its measured error to that count.  The tests' own float factors
 the double exponents, as Fractions.  Everything above is counted by hand.
 """
 
+import math
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -32,7 +34,13 @@ from itertools import product
 import numpy as np
 import pytest
 
-from jacobi_walk import ModelParams, matrix_power_row, spectral_transition_row, step_coefficients
+from jacobi_walk import (
+    ModelParams,
+    matrix_power_row,
+    spectral_transition_row,
+    step_coefficients,
+    terminal_state_counts,
+)
 import jacobi_walk.chain as chain_module
 
 EXPONENTS = range(5)
@@ -237,6 +245,48 @@ def test_planted_numerator_breaks_the_identity(monkeypatch, term):
 
     monkeypatch.setattr(chain_module, "_law_table", planted)
     assert identity_failures(ROUTES["matrix"])
+
+
+URN_PAIRS = list(product((0, 1, 3), (0, 2, 5)))
+URN_LANES = 2**16
+
+
+def urn_deviations(factored) -> list[float]:
+    """Criterion 6's z of the urn against ``factored(t, i, a, b)``, the
+    t-step row i at (a, b) as exact cells, on each cell that expects at
+    least 25 of the 2**16 trajectories of its ensemble."""
+    deviations = []
+    grid = product(URN_PAIRS, (0, 3), (1, 4, 9))
+    for ensemble, ((a, b), i, t) in enumerate(grid):
+        counts = terminal_state_counts(i, t, ModelParams(a, b), URN_LANES, 20180601 + ensemble)
+        for hits, target in zip(counts.tolist(), factored(t, i, a, b), strict=True):
+            if target * URN_LANES < 25:
+                continue
+            estimate = hits / URN_LANES
+            stderr = math.sqrt(estimate * (1.0 - estimate) / URN_LANES)
+            if stderr == 0.0:
+                deviations.append(0.0 if estimate == target else math.inf)
+            else:
+                deviations.append(abs(estimate - target) / stderr)
+    return deviations
+
+
+def factored_matrix_row(t, i, a, b):
+    return factored_row(ROUTES["matrix"], t, i, a, b)
+
+
+def test_urn_follows_the_factored_law():
+    deviations = urn_deviations(factored_matrix_row)
+    assert len(deviations) == 341
+    assert max(deviations) <= 6.0
+
+
+def test_planted_factor_moves_the_urn_off_the_factored_law(monkeypatch):
+    # L's stay probability taken at (a + 1, b) gives some other law: rows
+    # from start 3 then sit more than 6 standard errors off the urn
+    stay = r
+    monkeypatch.setitem(globals(), "r", lambda n, a, b: stay(n, a + 1, b))
+    assert max(urn_deviations(factored_matrix_row)) > 6.0
 
 
 def float_rows(t, i, j_max, a, b):

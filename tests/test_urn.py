@@ -30,6 +30,7 @@ from jacobi_walk import (
 )
 import jacobi_walk.urn as urn_module
 from jacobi_walk.polynomials import _step_table
+from test_rng import stop_after_raws
 
 F = Fraction
 
@@ -112,6 +113,15 @@ class TestSimulateTrajectory:
         assert path[0] == 2
         assert all(s >= 0 for s in path)
         assert all(abs(b - a) <= 1 for a, b in zip(path, path[1:]))
+
+    def test_urn_past_uint64_is_refused(self, monkeypatch):
+        # the first draw's bound, 2^70 + 1, is past the scalar draw's range;
+        # unrefused it rejects every raw, and the ninth raw fails the test
+        stop_after_raws(monkeypatch, 8)
+        stream = CounterStream.from_seed(1)
+        with pytest.raises(ValueError, match="bound exceeds the uint64 limit"):
+            simulate_trajectory(0, 2, ModelParams(2**70, 0), stream)
+        assert stream.counter == 0
 
     def test_deterministic_replay(self):
         params = ModelParams(0, 0)
