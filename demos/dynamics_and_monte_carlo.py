@@ -10,7 +10,6 @@ import numpy as np
 
 from jacobi_walk import (
     ModelParams,
-    build_transition,
     estimate_transition,
     invariant_measure,
     matrix_power_transition,
@@ -43,8 +42,6 @@ print()
 # The invariant measure pi (here 1, 3, 5, ...) is stationary for the banded
 # operator: the relative residual of pi P = pi vanishes identically in the
 # exact engine and at rounding level in float.
-chain = build_transition(60, params, "exact")
-print(f"banded operator on {chain.size} states, rows sum to 1 away from the edge")
 print("invariant measure:", [str(invariant_measure(i, params, "exact")) for i in range(6)])
 print("max relative residual of pi P = pi (exact, N=60):",
       max(stationarity_residuals(60, params, "exact")[1]))

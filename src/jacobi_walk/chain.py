@@ -1,10 +1,12 @@
 """Walk dynamics: banded one-step matrix, exact powers, spectral closed form.
 
 The walk's one-step matrix P is tridiagonal: row n holds (down_n, stay_n,
-up_n) at columns (n-1, n, n+1), sliced from one ``polynomials._step_table``
-by ``build_transition``.  Two independent routes to the t-step
-probabilities (P^t)_{ij} live here, each a core for the reachable
-columns of one row:
+up_n) at columns (n-1, n, n+1).  Its truncation to states 0..N-1 is
+``_scaled_bands``: the diagonal, super- and subdiagonal sliced from one
+table of the law.  Every interior row sums to 1, and the last to
+1 - up_{N-1}: truncation leaks mass upward only.  Two independent routes
+to the t-step probabilities (P^t)_{ij} live here, each a core for the
+reachable columns of one row:
 
 * ``_power_row``: t banded row-vector products on the truncation to
   N = i + t + 1 states.  It is exact, not approximate: t steps from i
@@ -36,8 +38,7 @@ denominator D: float64 with D = 1, or for the exact engine the integers
 the law's numerators become over the lcm D of its denominators.  Each
 state's new mass adds the same products in the same order as a plain
 loop over states would, so neither engine's results depend on the
-vectorization.  ``BandedTransition.propagate`` runs the same step body on
-Fractions.
+vectorization.
 
 ``stationarity_residuals`` checks the fixed-point identity pi P = pi for
 the pi_0-normalized invariant measure state by state, forming pi P with
@@ -51,7 +52,6 @@ residual would be dominated by the largest retained component's rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -67,8 +67,6 @@ from .polynomials import (
 from .integrate import _exact_spectral_terms, _float_spectral_cells
 
 __all__ = [
-    "BandedTransition",
-    "build_transition",
     "matrix_power_row",
     "matrix_power_transition",
     "spectral_transition",
@@ -81,33 +79,6 @@ __all__ = [
 _CLAMP_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class BandedTransition:
-    """Truncation of the one-step matrix to states 0..size-1.
-
-    sub holds down_1..down_{size-1} (the entry at row n, column n-1), diag
-    holds stay_0..stay_{size-1}, sup holds up_0..up_{size-2}.  Every
-    interior row sums to 1 (exactly in rational mode); the last row sums to
-    1 - up_{size-1}, i.e. truncation leaks mass upward only.  Row n of the
-    untruncated matrix is ``step_coefficients(n, params, engine)``.
-    """
-
-    size: int
-    sub: tuple
-    diag: tuple
-    sup: tuple
-    params: ModelParams
-    engine: str
-
-    def propagate(self, mass) -> list:
-        """One walk step applied to a row vector of state masses."""
-        if len(mass) != self.size:
-            raise ValueError(f"mass vector of length {len(mass)} for size {self.size}")
-        dtype = object if self.engine == "exact" else float
-        bands = (np.array(band, dtype=dtype) for band in (self.diag, self.sup, self.sub))
-        return _banded_step(np.array(mass, dtype=dtype), *bands).tolist()
-
-
 def _banded_step(mass: np.ndarray, diag, sup, sub) -> np.ndarray:
     """One walk step on ndarrays of either engine's dtype.
 
@@ -118,20 +89,6 @@ def _banded_step(mass: np.ndarray, diag, sup, sub) -> np.ndarray:
     out[1:] += mass[:-1] * sup
     out[:-1] += mass[1:] * sub
     return out
-
-
-def build_transition(N, params: ModelParams, engine: str = "float") -> BandedTransition:
-    """One-step matrix truncated to the first N states."""
-    N = check_int(N, "N", 1)
-    up, stay, down = _step_table(N - 1, params, engine)
-    return BandedTransition(
-        size=N,
-        sub=tuple(down[1:].tolist()),
-        diag=tuple(stay.tolist()),
-        sup=tuple(up[:-1].tolist()),
-        params=params,
-        engine=engine,
-    )
 
 
 def _scaled_bands(N: int, params: ModelParams, engine: str) -> tuple:
@@ -200,10 +157,9 @@ def _row(core, t, i, js: range, params: ModelParams, engine: str) -> tuple:
     """
     t = check_int(t, "t")
     i = check_int(i, "i")
-    dtype = float
     if check_engine(engine) == "exact":
         params.require_integral("engine='exact'")
-        dtype = object
+    dtype = object if engine == "exact" else float
     nums, dens = np.zeros(len(js), dtype=dtype), np.ones(len(js), dtype=dtype)
     cols = range(max(js.start, i - t), min(js.stop, i + t + 1))
     if cols:
@@ -265,10 +221,9 @@ def _residual_terms(N: int, params: ModelParams, engine: str) -> tuple:
     """
     if engine == "exact":
         pi, scale = _invariant_numerators(N - 1, params)
-        measure = np.array(pi, dtype=object)
     else:
         pi, scale = invariant_measure_table(N - 1, params, engine), 1
-        measure = np.array(pi)
+    measure = np.array(pi, dtype=object if engine == "exact" else float)
     bands, den = _scaled_bands(N, params, engine)
     # a float overflow leaves inf or nan for the caller to check
     with np.errstate(all="ignore"):

@@ -101,6 +101,10 @@ _CONVERGED = 2.0**-26
 _SECTIONS = 16
 _BISECT_WIDTH = 2.0**-20
 
+# A float Gram cell this far from delta_ij has fewer than three correct
+# digits, so its table is refused rather than printed.
+_GRAM_SLACK = 1e-3
+
 
 # A long-lived process keeps at most 8192 moments.  Moment k is
 # b! / ((a+k+1) ... (a+b+k+1)), whose size grows only like log k; an entry
@@ -561,7 +565,10 @@ def orthonormality_table(n_max, params: ModelParams, engine: str = "float"):
     20..120 (4949 tables), 2635 tables missed the identity by more than
     1e-11 against 2534, and the worst miss was 1.15e-5, at (0, 6) with
     n_max 117, against 7.7e-6 at (0, 6) with n_max 112; 1.15e-5 is past
-    the 1e-5 ceiling the benchmark allows float orthocheck.
+    the 1e-5 ceiling the benchmark allows float orthocheck.  A finite float
+    table with a cell that misses delta_ij by more than 1e-3 raises
+    NumericalError naming the first such cell in row order; a table with an
+    inf or nan cell is returned for the caller to check.
     """
     n_max = check_int(n_max, "n_max")
     check_engine(engine)
@@ -569,4 +576,13 @@ def orthonormality_table(n_max, params: ModelParams, engine: str = "float"):
     if engine == "exact":
         cells = _ratios(*_exact_spectral_terms(0, degrees, degrees, params), engine)
         return cells.reshape(len(degrees), -1).tolist()
-    return _float_spectral_cells(0, degrees, degrees, params, 2 * n_max + 1)
+    cells = _float_spectral_cells(0, degrees, degrees, params, 2 * n_max + 1)
+    miss = abs(cells - np.eye(n_max + 1))
+    bad = np.argwhere(miss > _GRAM_SLACK)  # in row order
+    if bad.size and np.isfinite(cells).all():
+        i, j = bad[0]
+        raise NumericalError(
+            f"orthonormality_table(n_max={n_max}): value {float(cells[i, j])!r} at "
+            f"i={i}, j={j} misses the identity by more than {_GRAM_SLACK:g}"
+        )
+    return cells

@@ -7,7 +7,8 @@ Run from the repository root with the package importable, for example
 and compare the output of two trees with ``diff``.  ``rule_grid.txt``
 beside this file holds the output of the committed tree, and CI diffs
 against it, so a change that moves a rule updates that file too.  The
-digests assume that np.longdouble is the x87 80-bit type.
+digests assume that np.longdouble is the x87 80-bit type: where it is not,
+the script prints no digest, names its mantissa bits on stderr and exits 2.
 
 For each exponent pair it prints the sha256 over one line per order: the
 sha256 of the rule's nodes and weights, or the text of its NumericalError.
@@ -17,6 +18,9 @@ pytest does not collect this file; it takes about 25 s on one x86-64 core.
 """
 
 import hashlib
+import sys
+
+import numpy as np
 
 from jacobi_walk import ModelParams, NumericalError, gauss_jacobi_rule
 
@@ -40,6 +44,14 @@ def rule_line(order: int, params: ModelParams) -> str:
 
 
 def main() -> None:
+    mantissa = np.finfo(np.longdouble).nmant + 1
+    if mantissa != 64:
+        print(
+            f"rule_grid.py: np.finfo(np.longdouble).nmant + 1 is {mantissa}, not the x87 "
+            "type's 64 that rule_grid.txt assumes",
+            file=sys.stderr,
+        )
+        sys.exit(2)
     rules = refused = 0
     for alpha, beta in PAIRS:
         lines = [rule_line(order, ModelParams(alpha, beta)) for order in ORDERS]

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from jacobi_walk import (
     ModelParams,
     NumericalError,
-    build_transition,
     gauss_jacobi_rule,
     invariant_measure,
     matrix_power_row,
@@ -34,56 +33,67 @@ F = Fraction
 NON_INTEGER_PAIRS = [(-0.5, 2.75), (0.25, -0.9), (-0.99, 3.5), (-0.5, -0.5), (2.5, 1.5)]
 
 
+def loop_step(mass, laws):
+    """One step of the plain list loop over states, where laws[n] is
+    ``step_coefficients(n, ...)``: the reference that the ndarray
+    propagation must reproduce bit for bit."""
+    size = len(mass)
+    out = [mass[n] * laws[n].stay for n in range(size)]
+    for n in range(1, size):
+        out[n] += mass[n - 1] * laws[n - 1].up
+    for n in range(size - 1):
+        out[n] += mass[n + 1] * laws[n + 1].down
+    return out
+
+
 def loop_row(t, i, j_max, params, engine):
-    """Row i of P^t by the plain list loop over states: the reference that
-    the ndarray propagation must reproduce bit for bit.  It keeps the wider
-    truncation to max(i, j_max) + t + 1 states, so a row with j_max far past
-    i + t pins that stepping only i + t + 1 states changes no bit."""
-    transition = build_transition(max(i, j_max) + t + 1, params, engine)
-    size, diag, sup, sub = transition.size, transition.diag, transition.sup, transition.sub
+    """Row i of P^t by ``loop_step``, with the law read one state at a time.
+    It keeps the wider truncation to max(i, j_max) + t + 1 states, so a row
+    with j_max far past i + t pins that stepping only i + t + 1 states
+    changes no bit."""
+    size = max(i, j_max) + t + 1
+    laws = [step_coefficients(n, params, engine) for n in range(size)]
     mass = [Fraction(0) if engine == "exact" else 0.0] * size
     mass[i] = Fraction(1) if engine == "exact" else 1.0
     for _ in range(t):
-        out = [mass[n] * diag[n] for n in range(size)]
-        for n in range(1, size):
-            out[n] += mass[n - 1] * sup[n - 1]
-        for n in range(size - 1):
-            out[n] += mass[n + 1] * sub[n]
-        mass = out
+        mass = loop_step(mass, laws)
     return mass[: j_max + 1]
 
 
-class TestBandedTransition:
+class TestScaledBands:
+    """The truncation of P to N states that both engines' routes step."""
+
     def test_smallest_truncation(self):
-        m = build_transition(1, ModelParams(2, 1), "exact")
-        assert m.size == 1 and m.sub == () and m.sup == ()
-        assert m.diag == (step_coefficients(0, ModelParams(2, 1), "exact").stay,)
+        (diag, sup, sub), den = chain_module._scaled_bands(1, ModelParams(2, 1), "exact")
+        assert sup.size == 0 and sub.size == 0
+        assert F(diag[0], den) == step_coefficients(0, ModelParams(2, 1), "exact").stay
 
     def test_two_state_truncation(self):
         # hand: a=b=0 rows ((1/2, 1/2, -), (1/6, 1/2)) with up_1 clipped
-        m = build_transition(2, ModelParams(0, 0), "exact")
-        assert m.diag == (F(1, 2), F(1, 2))
-        assert m.sup == (F(1, 2),)
-        assert m.sub == (F(1, 6),)
+        bands, den = chain_module._scaled_bands(2, ModelParams(0, 0), "exact")
+        diag, sup, sub = ([F(v, den) for v in band] for band in bands)
+        assert diag == [F(1, 2), F(1, 2)]
+        assert sup == [F(1, 2)]
+        assert sub == [F(1, 6)]
 
-    def test_interior_rows_sum_to_one(self):
-        m = build_transition(9, ModelParams(3, 2), "exact")
-        down = (F(0),) + m.sub
-        for n in range(8):
-            assert down[n] + m.diag[n] + m.sup[n] == 1
-        assert down[8] + m.diag[8] == 1 - step_coefficients(8, ModelParams(3, 2), "exact").up
-
-    def test_propagate_conserves_interior_mass(self):
-        m = build_transition(30, ModelParams(1, 4), "exact")
-        mass = [F(0)] * 30
-        mass[3] = F(1)
-        for _ in range(10):
-            mass = m.propagate(mass)
-        assert sum(mass) == 1  # 10 steps from state 3 cannot reach the edge
-
-    def test_propagate_rejects_wrong_length(self):
-        with pytest.raises(ValueError, match="mass vector of length 4 for size 5"):
-            build_transition(5, ModelParams(1, 1)).propagate([1.0, 0.0, 0.0, 0.0])
+    @pytest.mark.parametrize("engine", ["exact", "float"])
+    @pytest.mark.parametrize("ab", [(0, 0), (3, 2), (6, 1)])
+    def test_rows_sum_to_one(self, ab, engine):
+        # interior rows sum to D (exact) or to 1 within rounding (float);
+        # the last row loses the clipped up-move out of state N - 1
+        params, N = ModelParams(*ab), 300
+        (diag, sup, sub), den = chain_module._scaled_bands(N, params, engine)
+        sums = diag.copy()
+        sums[:-1] += sup
+        sums[1:] += sub
+        last = 1 - step_coefficients(N - 1, params, engine).up
+        if engine == "exact":
+            assert all(s == den for s in sums[:-1])
+            assert F(sums[-1], den) == last
+        else:
+            assert den == 1
+            assert max(abs(sums[:-1] - 1)) <= 2.3e-16
+            assert sums[-1] == pytest.approx(last, abs=2.3e-16)
 
 
 class TestMatrixPower:
@@ -165,18 +175,18 @@ class TestMatrixPower:
 
     @pytest.mark.parametrize("a", range(7))
     def test_integer_bands_match_fraction_propagation(self, a):
-        # integer bands over one denominator against Fraction bands stepped
-        # by propagate: both run _banded_step, so this checks the integer
-        # scaling and the gcd cancellation, while loop_row above is the
-        # independent reference for the step body.  40 states hold every
-        # state reachable in 30 steps from i <= 8 below the clipped last row.
+        # integer bands over one denominator against Fraction masses stepped
+        # by loop_step: this checks the integer scaling and the gcd
+        # cancellation against the independent list loop.  40 states hold
+        # every state reachable in 30 steps from i <= 8 below the clipped
+        # last row.
         for b, i in product(range(7), range(9)):
             params = ModelParams(a, b)
-            transition = build_transition(40, params, "exact")
+            laws = [step_coefficients(n, params, "exact") for n in range(40)]
             mass = [F(int(n == i)) for n in range(40)]
             for t in range(31):
                 assert matrix_power_row(t, i, i + t, params, "exact") == mass[: i + t + 1]
-                mass = transition.propagate(mass)
+                mass = loop_step(mass, laws)
 
     def test_float_engine_shadows_exact(self):
         params = ModelParams(1, 2)

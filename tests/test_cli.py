@@ -213,6 +213,43 @@ class TestGoldenOutputs:
         _, rows = parse_csv(text)
         assert max(abs(float(value) - (i == j)) for i, j, value in rows) <= 1e-11
 
+    @pytest.mark.parametrize(
+        "ab, digest",
+        [
+            ((0, 6), "f0e8d5ef514de4cea8d66e39774ce6fe0da98c9c12f96d182ccd90ee40d2b96d"),
+            ((6, 6), "5b195644f8dfc531c13c697bcb6de970e1ebaf70f4b6f81db0ee28825045650d"),
+            ((0, 0), "dc25b1dfe4f1b0081062c74948ceaeb991949397b7e501df34ff7f2c6c3a8e17"),
+        ],
+        ids=["0-6", "6-6", "0-0"],
+    )
+    def test_orthocheck_float_prints_misses_below_the_refusal(self, ab, digest):
+        # (0, 6) misses the identity by up to 7.7e-6 at i-max <= 120, within
+        # the 1e-3 the float table is refused beyond; sha256 of the CSV the
+        # table printed before that refusal existed
+        a, b = map(str, ab)
+        code, text = run_cli("orthocheck", "--i-max", "120", "--alpha", a, "--beta", b)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "exponent, message",
+        [
+            (20, "orthonormality_table(n_max=2): value -1468.196618189361 at i=0, j=1"),
+            (40, "orthonormality_table(n_max=2): value -2.1824412690937887e+23 at i=0, j=1"),
+            (154, "value is inf at i=0"),
+        ],
+        ids=["beta 10**20", "beta 10**40", "beta 10**154"],
+    )
+    def test_orthocheck_float_refuses_a_gram_it_cannot_resolve(self, capsys, exponent, message):
+        # at huge beta the cells scaled by sqrt(pi_j / pi_i) are garbage: the
+        # first cell in row order that misses delta_ij by more than 1e-3 is
+        # named, unless the table holds an inf or nan, which the CLI names
+        code, text = run_cli("orthocheck", "--i-max", "2", "--beta", str(10**exponent))
+        assert code == 3 and text == ""
+        if exponent < 154:
+            message += " misses the identity by more than 0.001"
+        assert capsys.readouterr().err == f"jacobi-walk: numerical failure: {message}\n"
+
     def test_eval_exact(self):
         code, text = run_cli("eval", "--n-max", "1", "--x", "0", "--engine", "exact")
         assert code == 0
@@ -634,7 +671,10 @@ class TestExitCodes:
             "of 1.11e-16 there\n"
         )
         if exponent == 20:  # the mirrored zeros near 1e-20 are resolved
-            assert run_cli(*argv, "--beta", str(10**exponent))[0] == 0
+            code, _ = run_cli(*argv, "--beta", str(10**exponent))
+            # orthocheck builds its rule, then refuses its Gram cells
+            assert code == (3 if argv[0] == "orthocheck" else 0)
+            assert "Gauss rule" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("exponent", [20, 40, 154])
     @pytest.mark.parametrize(
@@ -650,9 +690,11 @@ class TestExitCodes:
         # the mirrored zeros lie near 10**-exponent, where Newton's complex
         # step shrinks with the node; a fixed step failed the root count.
         # At 10**154 the rule builds, and the cells scaled by pi then
-        # overflow binary64 past the rule (ROADMAP item 1)
+        # overflow binary64 past the rule (ROADMAP item 1); orthocheck's
+        # Gram cells, scaled the same way, miss the identity by more than
+        # 1e-3 already at 10**20 and are refused past the rule
         code, text = run_cli(*argv, "--beta", str(10**exponent))
-        if exponent < 154 or argv[0] == "quadrule":
+        if argv[0] == "quadrule" or exponent < 154 and argv[0] != "orthocheck":
             assert code == 0 and text
         else:
             assert code == 3 and "Gauss rule" not in capsys.readouterr().err

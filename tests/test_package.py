@@ -10,7 +10,6 @@ MODULES = (model, polynomials, integrate, chain, rng, urn)
 
 # jacobi_walk.__all__ as released; an export added or dropped fails here
 PUBLIC = [
-    "BandedTransition",
     "CounterStream",
     "ENGINES",
     "ModelParams",
@@ -20,7 +19,6 @@ PUBLIC = [
     "StepTrace",
     "TransitionEstimate",
     "__version__",
-    "build_transition",
     "estimate_transition",
     "eval_poly",
     "gauss_jacobi_rule",

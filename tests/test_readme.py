@@ -1,16 +1,20 @@
-"""README's command-line examples and Gauss-rule refusals, run through ``cli.main``.
+"""README's library block, command-line examples and Gauss-rule refusals.
 
-Each ``$ jacobi-walk ...`` line of the first code block under "Command
-line" (with its backslash continuations) is a command, and the lines after
-it, up to a blank line, are exactly what it prints.  Refusals 1-5 of the
-list that follows give a reason and a command that meets it, which exits 3
-with that reason.
+The code block under "Library" runs in a fresh namespace, and the values
+its comments state are checked.  Each ``$ jacobi-walk ...`` line of the
+first code block under "Command line" (with its backslash continuations)
+is a command, and the lines after it, up to a blank line, are exactly what
+it prints.  Refusals 1-5 of the list that follows give a reason and a
+command that meets it, which exits 3 with that reason.  Every command runs
+through ``cli.main``.
 """
 
+import ast
 import io
 import re
 import shlex
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -90,3 +94,26 @@ def test_refusal_command_exits_3_with_its_reason(reason, command):
     assert stdout.getvalue() == ""
     (line,) = stderr.getvalue().splitlines()
     assert line.startswith(prefix) and re.fullmatch(pattern, line.removeprefix(prefix)), line
+
+
+def library_block() -> str:
+    """The code block under "Library"."""
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    return re.search(r"^```python\n(.*?)^```$", section, re.S | re.M).group(1)
+
+
+def test_readme_library_block_runs_and_gives_what_it_states():
+    # each top-level expression's value, in order, from a fresh namespace
+    block, namespace, values = library_block(), {}, []
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            values.append(eval(compile(ast.Expression(node.value), "README", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([node], []), "README", "exec"), namespace)
+    coefficients, _, spectral, power, estimate = values
+    stated = re.search(r'"exact"\)\s+# (up=\S+ stay=\S+ down=\S+)', block).group(1)
+    assert stated == "up=21/55 stay=16/33 down=2/15"
+    got = (coefficients.up, coefficients.stay, coefficients.down)
+    assert got == (Fraction(21, 55), Fraction(16, 33), Fraction(2, 15))
+    assert spectral == power == Fraction(215, 858)
+    assert abs(estimate.estimate - 215 / 858) <= 6 * estimate.standard_error
