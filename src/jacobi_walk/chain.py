@@ -23,8 +23,9 @@ reachable columns of one row:
   is a polynomial of degree t + i + j, and an M-point Gauss rule is exact
   up to degree 2M - 1, so one rule with floor((t+i+j)/2) + 1 nodes for
   the last column j integrates every cell exactly up to rounding.  In
-  exact mode the cells are integers from the closed-form monomial
-  coefficients and the normalized moments.
+  exact mode the cells are integers from the closed-form coefficients in
+  powers of 1 - x and the normalized moments of x^t W, so their cost does
+  not grow with t.
 
 Every row and cell goes through one window, ``_row``: it checks the
 arguments once, intersects the requested columns (0..j_max for a row, j

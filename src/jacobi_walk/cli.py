@@ -32,7 +32,8 @@ Gauss rule whose one-step law overflows binary64, whose weight's total
 mass or some of whose weights underflow to 0.0 or whose nodes fail the
 root-count check or round onto one double, an inf or nan float cell, which
 is never printed and is named by the first such cell in row order, or an
-exponent too large for the arithmetic).
+exponent too large for the arithmetic) or an allocation the machine
+refuses ("out of memory"); nothing is written to the output then.
 """
 
 from __future__ import annotations
@@ -382,6 +383,19 @@ def render(columns: dict, fmt: str) -> str:
 
 
 def main(argv=None) -> int:
+    """Run one command; the exit code.  Exact text may run past CPython's
+    4300-digit limit on int-text conversion, so the limit is lifted for the
+    run and the caller's restored; Pythons before 3.10.7 have none."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    lift = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    lift(0)
+    try:
+        return _run(argv)
+    finally:
+        lift(limit)
+
+
+def _run(argv) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
@@ -389,13 +403,14 @@ def main(argv=None) -> int:
     try:
         columns = args.run(args, ModelParams(args.alpha, args.beta))
         _check_finite(columns)
+        text = render(columns, args.format)
     except UsageError as exc:
         print(f"jacobi-walk: error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, OverflowError, ZeroDivisionError) as exc:
-        print(f"jacobi-walk: numerical failure: {exc}", file=sys.stderr)
+    except (NumericalError, OverflowError, ZeroDivisionError, MemoryError) as exc:
+        kind = "out of memory" if isinstance(exc, MemoryError) else "numerical failure"
+        print(f"jacobi-walk: {kind}: {exc}", file=sys.stderr)
         return 3
-    text = render(columns, args.format)
     if args.output == "-":
         sys.stdout.write(text)
         return 0

@@ -20,10 +20,13 @@ integral is then one integer dot product and one Fraction.
 Every spectral cell pi_j integral(x**t Q_i Q_j W) / total_mass is computed
 here, once per engine; ``chain``'s spectral rows are blocks of cells and
 the orthonormality table is the t = 0 block.  ``_exact_spectral_terms``
-forms their integer numerators and denominators from one bilinear form (at
-t = 0 the Gram matrix C H C^T diag(pi), C the coefficient matrix and H the
-Hankel matrix of the mu_k), ``_float_spectral_cells`` the cells on one
-Gauss rule.
+forms their integer numerators and denominators from one bilinear form in
+powers of 1 - x: the coefficients are the closed form's at (b, a), and the
+moments those of x**t W, the normalized moments at (b, a + t).  t enters
+only through that exponent and the mass of x**t W, so a cell's cost and
+integers do not grow with t.  At t = 0 the form is the Gram matrix
+C H C^T diag(pi), C the coefficient matrix and H the Hankel matrix of the
+moments.  ``_float_spectral_cells`` forms the cells on one Gauss rule.
 
 The rule is built in three steps, each written out here rather than taken
 from a linear-algebra package, which keeps the quadrature path
@@ -70,6 +73,7 @@ from .polynomials import (
     _coefficient_numerators,
     _common_denominator,
     _invariant_numerators,
+    _inverse_mass,
     _ratios,
     _rising,
     _step_table,
@@ -130,7 +134,9 @@ def _normalized_moments(k_max: int, a: int, b: int) -> tuple[list[int], int]:
     mu_k = moment(k) / moment(0) = (a+1)_k / (a+b+2)_k is the k-th moment of
     the weight scaled to unit mass (a ratio of Beta functions, DLMF 5.12.1).
     Over B = (a+b+2)_{k_max}, A_k = (a+1)_k (a+b+2+k)_{k_max-k}, and
-    A_{k+1} = A_k (a+1+k) / (a+b+2+k) exactly.
+    A_{k+1} = A_k (a+1+k) / (a+b+2+k) exactly.  ``integrate_poly_exact``
+    reads them at the weight's (alpha, beta); the spectral core reads them
+    at (beta, alpha + t), as the moments of 1 - x under x**t W.
     """
     bottom = _rising(a + b + 2, k_max)
     tops = [bottom]
@@ -160,27 +166,31 @@ def _exact_spectral_terms(t: int, rows, cols, params: ModelParams) -> tuple[list
     """pi_j * integral(x**t Q_i Q_j W) / total_mass for i in rows, j in cols,
     as lists of integer numerators and denominators in row-major order.
 
-    In the monomial basis a cell is pi_j sum_{k,l} c_ik c_jl mu_{t+k+l}.
-    With c_ik = N_ik / D_i, mu_m = A_m / B and pi_j = p_j / S, row i first
-    forms the integers r_l = sum_k N_ik A_{t+k+l} once, and cell j is then
-    p_j sum_l N_jl r_l over S D_i B D_j.  At t = 0 the cells are the Gram
-    matrix C H C^T diag(pi), H being the Hankel matrix of the normalized
-    moments.
+    In powers of 1 - x, Q_n(x) = 2F1(-n, n+a+b+1; b+1; 1-x) (DLMF 18.5.7
+    and the symmetry P_n^(a,b)(-z) = (-1)^n P_n^(b,a)(z) of DLMF 18.6.1), so
+    its coefficients are N_nk / N_n0, N_nk the closed-form numerators at
+    (b, a) and N_n0 = (-1)^n (b+1)_n.  Against x**t W, 1 - x has the
+    normalized moments nu_m = (b+1)_m / (a+t+b+2)_m = A_m / B, those of the
+    weight at (b, a + t), and pi_j times the mass of x**t W over total_mass
+    is p_j / N(a+t, b), N the inverse mass, since that mass is
+    B(a+t+1, b+1).  Row i first forms the integers r_l = sum_k N_ik A_{k+l}
+    once, and cell j is then p_j sum_l N_jl r_l over N(a+t, b) N_i0 B N_j0,
+    a denominator of either sign.  t enters only through N(a+t, b) and the
+    moments' exponent: the table holds i + j_max + 1 moments at every t.
+    At t = 0 the cells are the Gram matrix C H C^T diag(pi), H being the
+    Hankel matrix of the nu_m.
     """
     a, b = params.require_integral("engine='exact'")
     degree = max(cols)
-    tops, bottom = _normalized_moments(t + max(rows) + degree, a, b)
-    poly = {n: _coefficient_numerators(n, a, b) for n in {*rows, *cols}}
-    pi, scale = _invariant_numerators(degree, params)
+    tops, bottom = _normalized_moments(max(rows) + degree, b, a + t)
+    poly = {n: _coefficient_numerators(n, b, a)[0] for n in {*rows, *cols}}
+    pi = _invariant_numerators(degree, params)[0]
+    scale = _inverse_mass(a + t, b) * bottom
     nums, dens = [], []
     for i in rows:
-        nums_i, den_i = poly[i]
-        shifted = [
-            sum(map(operator.mul, nums_i, tops[t + l : t + l + i + 1])) for l in range(degree + 1)
-        ]
-        nums += [pi[j] * sum(map(operator.mul, poly[j][0], shifted)) for j in cols]
-        row_den = scale * den_i * bottom
-        dens += [row_den * poly[j][1] for j in cols]
+        shifted = [sum(map(operator.mul, poly[i], tops[l : l + i + 1])) for l in range(degree + 1)]
+        nums += [pi[j] * sum(map(operator.mul, poly[j], shifted)) for j in cols]
+        dens += [scale * poly[i][0] * poly[j][0] for j in cols]
     return nums, dens
 
 

@@ -12,14 +12,14 @@ import re
 import subprocess
 import sys
 from argparse import Namespace
-from contextlib import redirect_stdout
+from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from jacobi_walk import ModelParams, eval_poly, stationarity_residuals
+from jacobi_walk import ModelParams, eval_poly, stationarity_residuals, step_coefficients
 import jacobi_walk.chain as chain_module
 import jacobi_walk.cli as cli_module
 import jacobi_walk.polynomials as polynomials_module
@@ -787,6 +787,82 @@ class TestExitCodes:
     def test_success_is_zero(self):
         code, _ = run_cli("coeffs", "--n-max", "2")
         assert code == 0
+
+
+@contextmanager
+def unlimited_int_text():
+    """Lifts CPython's 4300-digit limit on int-text conversion in a with block."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no int-text limit"
+)
+class TestLongExactText:
+    def test_cells_past_4300_digits_print(self, capsys):
+        params = ModelParams(0, 0)
+        code, text = run_cli("eval", "--n-max", "870", "--x", "1/100000", "--engine", "exact")
+        assert code == 0 and capsys.readouterr().err == ""
+        with unlimited_int_text():
+            expected = str(eval_poly(870, Fraction(1, 100000), params, "exact"))
+            assert len(str(Fraction(expected).denominator)) == 4347
+        assert text.splitlines()[-1] == f"870,{expected}"
+
+    @pytest.mark.parametrize("digits", [2200, 4400])
+    def test_exponent_past_4300_digits_parses_and_prints(self, digits):
+        # a 2200-digit alpha gives cells past 4300 digits; a 4400-digit one
+        # was refused as "expected an integer >= 0"
+        alpha = "1" + "0" * digits
+        code, text = run_cli("coeffs", "--n-max", "1", "--alpha", alpha, "--engine", "exact")
+        assert code == 0
+        with unlimited_int_text():
+            law = step_coefficients(1, ModelParams(int(alpha), 0), "exact")
+            cells = list(map(str, (law.up, law.stay, law.down, law.total)))
+        assert text.splitlines()[-1] == "1," + ",".join(cells)
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("coeffs", "--n-max", "1", "--alpha", "1" + "0" * 4400, "--engine", "exact"), 0),
+            (("coeffs", "--n-max", "-1"), 2),
+            (("quadrule", "--points", "3", "--alpha", str(10**200)), 3),
+        ],
+        ids=["0", "2", "3"],
+    )
+    def test_caller_limit_is_restored(self, argv, code):
+        before = sys.get_int_max_str_digits()
+        with unlimited_int_text():
+            sys.set_int_max_str_digits(5000)
+            assert run_cli(*argv)[0] == code
+            assert sys.get_int_max_str_digits() == 5000
+        assert sys.get_int_max_str_digits() == before
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("method, core", [("matrix", "_power_row"), ("km", "_spectral_row")])
+    @pytest.mark.parametrize("engine", ["float", "exact"])
+    def test_refused_allocation_exits_3_with_one_line(
+        self, monkeypatch, capsys, tmp_path, method, core, engine
+    ):
+        message = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"
+
+        def refused(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(chain_module, core, refused)
+        monkeypatch.setattr(cli_module, core, refused)
+        target = tmp_path / "row.csv"
+        argv = ("transition", "--t", "3", "--i", "0", "--j-max", "3", "--method", method)
+        for output in ("-", str(target)):
+            code, text = run_cli(*argv, "--engine", engine, "--output", output)
+            assert (code, text) == (3, "")
+            assert capsys.readouterr().err == f"jacobi-walk: out of memory: {message}\n"
+        assert not target.exists()
 
 
 class TestOutputsAndDeterminism:

@@ -7,6 +7,7 @@ budget.  An M-point rule owes exactness through degree 2M - 1.
 
 import hashlib
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -21,16 +22,26 @@ from jacobi_walk import (
     eval_poly,
     gauss_jacobi_rule,
     integrate_poly_exact,
+    invariant_measure_table,
+    matrix_power_row,
     moment,
     monomial_coefficients,
     norm_squared,
     orthonormality_table,
     poly_product,
+    spectral_transition_row,
     step_coefficients,
     total_mass,
 )
 import jacobi_walk.integrate as integrate_module
-from jacobi_walk.integrate import _orthonormal_sweep, _symmetrized_recurrence
+from jacobi_walk.cli import _texts
+from jacobi_walk.integrate import (
+    _exact_spectral_terms,
+    _normalized_moments,
+    _orthonormal_sweep,
+    _symmetrized_recurrence,
+)
+from jacobi_walk.polynomials import _coefficient_numerators, _invariant_numerators
 
 F = Fraction
 
@@ -610,6 +621,75 @@ class TestOrthonormalityTable:
             orthonormality_table(-1, ModelParams(0, 0))
         with pytest.raises(ValueError):
             orthonormality_table(3, ModelParams(0, 0), "decimal")
+
+
+def monomial_spectral_terms(t, rows, cols, params):
+    """The spectral cells in powers of x, against mu_{t+k+l}: a reference kept
+    here, whose moment table and integers grow with t."""
+    a, b = params.require_integral("reference")
+    degree = max(cols)
+    tops, bottom = _normalized_moments(t + max(rows) + degree, a, b)
+    poly = {n: _coefficient_numerators(n, a, b) for n in {*rows, *cols}}
+    pi, scale = _invariant_numerators(degree, params)
+    nums, dens = [], []
+    for i in rows:
+        nums_i, den_i = poly[i]
+        shifted = [
+            sum(map(operator.mul, nums_i, tops[t + l : t + l + i + 1])) for l in range(degree + 1)
+        ]
+        nums += [pi[j] * sum(map(operator.mul, poly[j][0], shifted)) for j in cols]
+        dens += [scale * den_i * bottom * poly[j][1] for j in cols]
+    return nums, dens
+
+
+class TestExactSpectralTerms:
+    @pytest.mark.parametrize("ab", [(a, b) for a in range(7) for b in range(7)])
+    def test_text_equals_the_monomial_reference(self, ab):
+        # 22 blocks per pair: 21 rows over the band t reaches, and the Gram
+        params = ModelParams(*ab)
+        blocks = [
+            (t, [i], range(max(0, i - t), i + t + 1))
+            for t in (0, 1, 2, 5, 9, 15, 40)
+            for i in (0, 3, 8)
+        ] + [(0, range(13), range(13))]
+        for block in blocks:
+            expected = _texts(*monomial_spectral_terms(*block, params))
+            assert _texts(*_exact_spectral_terms(*block, params)) == expected, block
+
+    @pytest.mark.parametrize("t", [10**6, 10**9])
+    @pytest.mark.parametrize("ab", [(3, 5), (0, 0), (2, 1)])
+    def test_chapman_kolmogorov_at_large_t(self, ab, t):
+        # P^(t+3)(4, j) = sum_k P^3(4, k) P^t(k, j), the 3-step leg banded
+        # over k = 1..7, the states that 3 steps from 4 reach
+        params = ModelParams(*ab)
+        leg = matrix_power_row(3, 4, 7, params, "exact")
+        rows = {k: spectral_transition_row(t, k, params, 12, "exact") for k in range(1, 8)}
+        expected = [sum(leg[k] * rows[k][j] for k in rows) for j in range(13)]
+        assert spectral_transition_row(t + 3, 4, params, 12, "exact") == expected
+
+    @pytest.mark.parametrize("t", [10**6, 10**9])
+    @pytest.mark.parametrize("ab", [(3, 5), (0, 0), (2, 1)])
+    def test_reversible_at_large_t(self, ab, t):
+        params = ModelParams(*ab)
+        pi = invariant_measure_table(8, params, "exact")
+        rows = [spectral_transition_row(t, i, params, 8, "exact") for i in range(9)]
+        for i in range(9):
+            for j in range(9):
+                assert pi[i] * rows[i][j] == pi[j] * rows[j][i]
+        assert 0 < rows[8][0] < rows[0][0] < 1
+
+    @pytest.mark.parametrize("t", [0, 40, 10**4, 10**9])
+    def test_moment_table_does_not_grow_with_t(self, monkeypatch, t):
+        asked = []
+
+        def spy(k_max, a, b):
+            asked.append(k_max + 1)
+            assert k_max <= 5 + 40, "the table grows with t"  # fail before building it
+            return _normalized_moments(k_max, a, b)
+
+        monkeypatch.setattr(integrate_module, "_normalized_moments", spy)
+        spectral_transition_row(t, 5, ModelParams(3, 5), 40, "exact")
+        assert asked == [5 + min(40, 5 + t) + 1]
 
 
 class TestIntegrateQuadrature:

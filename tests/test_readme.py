@@ -37,9 +37,9 @@ def examples() -> list[tuple[str, str]]:
     return found
 
 
-def test_readme_shows_five_examples():
+def test_readme_shows_six_examples():
     heads = [shlex.split(command)[0] for command, _ in examples()]
-    assert heads == ["coeffs", "transition", "transition", "simulate", "stationary"]
+    assert heads == ["coeffs", "transition", "transition", "transition", "simulate", "stationary"]
 
 
 @pytest.mark.parametrize("command, expected", examples(), ids=[c for c, _ in examples()])
