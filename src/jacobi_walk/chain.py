@@ -1,18 +1,21 @@
 """Walk dynamics: banded one-step matrix, exact powers, spectral closed form.
 
 The walk's one-step matrix P is tridiagonal: row n holds (down_n, stay_n,
-up_n) at columns (n-1, n, n+1).  Its truncation to states 0..N-1 is
-``_scaled_bands``: the diagonal, super- and subdiagonal sliced from one
-table of the law.  Every interior row sums to 1, and the last to
-1 - up_{N-1}: truncation leaks mass upward only.  Two independent routes
+up_n) at columns (n-1, n, n+1).  Its truncation to states 0..N-1 (or a
+window of them) is ``_scaled_bands``: the diagonal, super- and subdiagonal
+sliced from one table of the law.  Every interior row sums to 1, and the
+last to 1 - up_{N-1}; a window that starts above state 0 also loses the
+down-move out of its first state.  Two independent routes
 to the t-step probabilities (P^t)_{ij} live here, each a core for the
 reachable columns of one row:
 
-* ``_power_row``: t banded row-vector products on the truncation to
-  N = i + t + 1 states.  It is exact, not approximate: t steps from i
-  reach at most state i + t, and the only coefficient the truncation
-  drops (the up-move out of state N - 1) is never touched by reachable
-  mass.  In exact arithmetic this is the brute-force oracle.
+* ``_power_row``: t banded row-vector products on the window of states
+  max(0, i - t)..i + t.  It is exact, not approximate: t steps from i
+  reach no state outside it, and the only coefficients the window drops
+  (the down-move out of its first state when that is not 0, the up-move
+  out of its last) are never touched by reachable mass, which first
+  reaches either end at step t.  In exact arithmetic this is the
+  brute-force oracle.
 
 * ``_spectral_row``: the Karlin-McGregor representation
 
@@ -92,30 +95,33 @@ def _banded_step(mass: np.ndarray, diag, sup, sub) -> np.ndarray:
     return out
 
 
-def _scaled_bands(N: int, params: ModelParams, engine: str) -> tuple:
-    """(diag, sup, sub) on N states as numerators over one denominator D, and D (1 in float)."""
+def _scaled_bands(N: int, params: ModelParams, engine: str, first: int = 0) -> tuple:
+    """(diag, sup, sub) on states first..N-1 as numerators over one denominator D,
+    and D (1 in float)."""
     if engine == "exact":
-        law = _law_table(N - 1, params, engine)
+        law = _law_table(N - 1, params, engine, first)
         den = math.lcm(*map(math.lcm, *(dens for _, dens in law)))  # small lcms first
         up, stay, down = (nums * (den // dens) for nums, dens in law)
     else:
-        (up, stay, down), den = _step_table(N - 1, params, engine), 1
+        (up, stay, down), den = _step_table(N - 1, params, engine, first), 1
     return (stay, up[:-1], down[1:]), den
 
 
 def _power_row(t: int, i: int, cols: range, params: ModelParams, engine: str) -> tuple:
-    """Columns ``cols`` of row i of P^t by t steps on i + t + 1 states: numerators over a scale.
+    """Columns ``cols`` of row i of P^t by t steps on the states max(0, i-t)..i+t:
+    numerators over a scale.
 
     The float row is the values over a scale of 1.  The exact one runs on
-    the integer bands of ``_scaled_bands`` over one common denominator D,
-    so after each step the row is an integer vector m over a scale that has
-    gained a factor D.  Cancelling the gcd of the scale and all of m after
-    every step keeps the integers near the size of the row's reduced
-    denominators.
+    the integer bands of ``_scaled_bands`` over one common denominator D of
+    the window's laws, so after each step the row is an integer vector m
+    over a scale that has gained a factor D.  Cancelling the gcd of the
+    scale and all of m after every step keeps the integers near the size of
+    the row's reduced denominators.
     """
-    bands, den = _scaled_bands(i + t + 1, params, engine)
+    first = max(0, i - t)
+    bands, den = _scaled_bands(i + t + 1, params, engine, first)
     mass = np.zeros(bands[0].size, dtype=bands[0].dtype)
-    mass[i] = 1
+    mass[i - first] = 1
     scale = 1
     for _ in range(t):
         mass = _banded_step(mass, *bands)
@@ -124,7 +130,7 @@ def _power_row(t: int, i: int, cols: range, params: ModelParams, engine: str) ->
             common = math.gcd(scale, *mass)
             mass //= common
             scale //= common
-    return mass[cols.start : cols.stop], scale
+    return mass[cols.start - first : cols.stop - first], scale
 
 
 def _spectral_row(t: int, i: int, cols: range, params: ModelParams, engine: str) -> tuple:

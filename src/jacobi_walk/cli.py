@@ -33,7 +33,8 @@ mass or some of whose weights underflow to 0.0 or whose nodes fail the
 root-count check or round onto one double, an inf or nan float cell, which
 is never printed and is named by the first such cell in row order, or an
 exponent too large for the arithmetic) or an allocation the machine
-refuses ("out of memory"); nothing is written to the output then.
+refuses ("out of memory"); the stderr line carries the error's message,
+or its type name when it has none, and nothing is written to the output.
 """
 
 from __future__ import annotations
@@ -409,7 +410,7 @@ def _run(argv) -> int:
         return 2
     except (NumericalError, OverflowError, ZeroDivisionError, MemoryError) as exc:
         kind = "out of memory" if isinstance(exc, MemoryError) else "numerical failure"
-        print(f"jacobi-walk: {kind}: {exc}", file=sys.stderr)
+        print(f"jacobi-walk: {kind}: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
     if args.output == "-":
         sys.stdout.write(text)

@@ -105,17 +105,19 @@ def step_coefficients(n, params: ModelParams, engine: str = "float") -> StepCoef
     return StepCoefficients(n=n, up=up, stay=stay, down=down)
 
 
-def _law_table(n_max, params: ModelParams, engine: str) -> tuple:
-    """(numerators, denominators) of up, stay and down at states 0..n_max.
+def _law_table(n_max, params: ModelParams, engine: str, n_min: int = 0) -> tuple:
+    """(numerators, denominators) of up, stay and down at states n_min..n_max.
 
     ``_law_terms`` over the array of states: integers (exact) or float64.  Huge
     exponents leave inf or nan, silently as in the scalar's Python floats.
     """
     n_max = check_int(n_max, "n_max")
-    states = np.arange(1, n_max + 1, dtype=object if engine == "exact" else float)
+    states = np.arange(max(n_min, 1), n_max + 1, dtype=object if engine == "exact" else float)
     with np.errstate(over="ignore", invalid="ignore"):
         pairs = zip(_law_terms(0, params, engine), _law_terms(states, params, engine))
-        return tuple(tuple(np.concatenate(([z], s)) for z, s in zip(*pair)) for pair in pairs)
+        # state 0 has terms of its own; a table that starts above it drops them
+        cut = slice(min(n_min, 1), None)
+        return tuple(tuple(np.concatenate(([z], s))[cut] for z, s in zip(*pair)) for pair in pairs)
 
 
 def _ratios(nums, dens, engine: str) -> np.ndarray:
@@ -131,9 +133,9 @@ def _ratios(nums, dens, engine: str) -> np.ndarray:
         return np.true_divide(nums, dens)
 
 
-def _step_table(n_max, params: ModelParams, engine: str) -> tuple:
-    """(up, stay, down) at states 0..n_max: ``_law_table`` divided, float64 or Fractions."""
-    return tuple(_ratios(*pair, engine) for pair in _law_table(n_max, params, engine))
+def _step_table(n_max, params: ModelParams, engine: str, n_min: int = 0) -> tuple:
+    """(up, stay, down) at states n_min..n_max: ``_law_table`` divided, float64 or Fractions."""
+    return tuple(_ratios(*pair, engine) for pair in _law_table(n_max, params, engine, n_min))
 
 
 def _three_term_sweep(x, q0, steps):

@@ -30,15 +30,18 @@ deliberately independent of the coefficient formulas in polynomials.py.
 
 Ensemble runs (``estimate_transition``, ``terminal_state_counts``) assign
 substream k of the master seed to trajectory k and reduce to terminal-state
-counts.  An ensemble runs as contiguous pieces on a grid that depends on
-the trajectory count and the thread count; the counts depend on neither,
-since lane k's draws depend only on (seed, k, draw index) and the
-histogram is a sum, so results are bit-reproducible.  The vectorized
-literal sampler keeps each lane's state, urn sizes and picks in uint64, the
-dtype of the draws, and moves a lane by adding its up mask and subtracting
-its down mask.  A vectorized sampler that draws from the float one-step
-law directly (one draw per step) is available as sampler="coefficients";
-it is a labeled fast path and is excluded from mechanism-agreement tests.
+counts.  An ensemble runs as contiguous pieces of at most 5 * 2^15 lanes,
+balanced over the threads, on a grid that depends on the trajectory count
+and the thread count; the counts depend on neither, since lane k's draws
+depend only on (seed, k, draw index) and the histogram is a sum, so
+results are bit-reproducible.  A thread holds one piece's lane arrays at
+a time, so an ensemble's memory is bounded by its thread count, not by its
+size.  The vectorized literal sampler keeps each lane's state, urn sizes
+and picks in uint64, the dtype of the draws, and moves a lane by adding
+its up mask and subtracting its down mask.  A vectorized sampler that
+draws from the float one-step law directly (one draw per step) is
+available as sampler="coefficients"; it is a labeled fast path and is
+excluded from mechanism-agreement tests.
 It decides each step as u = raw * 2^-64 against the law's float
 thresholds would, in uint64: float(raw) < x * 2^64 exactly when raw lies
 below L(x), the least integer whose double reaches x * 2^64, so the
@@ -72,12 +75,19 @@ __all__ = [
 
 Color = Literal["blue", "red"]
 
-# An ensemble runs as contiguous pieces of at most _CHUNK lanes, and as
-# several pieces of at least _PIECE lanes where there are threads to run
-# them.  The grid depends on the trajectory count and the thread count; the
-# counts depend on neither.  Below 2^15 lanes a second thread costs more in
-# GIL handoffs than the short numpy calls it overlaps.
-_CHUNK = 1 << 18
+# An ensemble runs as contiguous pieces of at most _CHUNK lanes, and on as
+# many threads as get at least _PIECE lanes each; the piece count is a
+# multiple of that pool width, so no thread is left waiting on a last piece.
+# The grid depends on the trajectory count and the thread count; the counts
+# depend on neither.  Below 2^15 lanes a second thread costs more in GIL
+# handoffs than the short numpy calls it overlaps.  A lane holds about 55
+# bytes of arrays, and a literal-urn lane step (t = 35, (3,5), one piece on
+# one thread; x86-64) cost 21.4 / 21.7 / 23.2 / 25.5 / 28.7 / 31.1 ns at
+# 2^15 / 2^16 / 2^17 / 5 * 2^15 / 6 * 2^15 / 2^18 lanes per piece, so
+# smaller pieces are both leaner and faster.  5 * 2^15 is the smallest
+# multiple of _PIECE that still splits 2^18 + 2^15 + 3 lanes on two threads
+# into two pieces, as the benchmark's tracer test and the grid tests expect.
+_CHUNK = 5 << 15
 _PIECE = 1 << 15
 
 
@@ -270,10 +280,11 @@ def _coefficient_chunk(
 
 
 def _jobs(trajectories: int, threads: int) -> list[tuple[int, int]]:
-    """(start, size) of each piece: the fewest pieces of at most _CHUNK
-    lanes, or one per thread if that many hold _PIECE lanes each; in order,
-    sizes differing by at most one."""
-    count = max(-(-trajectories // _CHUNK), min(threads, trajectories // _PIECE))
+    """(start, size) of each piece, in order, sizes differing by at most one:
+    the fewest pieces of at most _CHUNK lanes whose count is a multiple of
+    the pool width, the threads that get _PIECE lanes each (at least one)."""
+    width = max(1, min(threads, trajectories // _PIECE))
+    count = width * -(-trajectories // (width * _CHUNK))
     size, extra = divmod(trajectories, count)
     starts = [k * size + min(k, extra) for k in range(count + 1)]
     return [(start, end - start) for start, end in zip(starts, starts[1:])]

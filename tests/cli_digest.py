@@ -15,10 +15,14 @@ line per workload and seed:
 
     <workload> <seed> <queries> <sha256>
 
+``--workload NAME``, repeatable, hashes only the workloads named, in the
+order of ``WORKLOADS``; without it every workload is hashed.
+
 pytest does not collect this file.  Two seeds take about 45 s on two x86-64
 cores, most of it urn-ensemble's ensembles.
 """
 
+import argparse
 import hashlib
 import io
 import sys
@@ -58,12 +62,15 @@ def query_record(query) -> list[tuple]:
 
 
 def main(argv=None) -> int:
-    seeds = [int(seed) for seed in (sys.argv[1:] if argv is None else argv)]
-    if not seeds:
-        print("usage: cli_digest.py SEED [SEED ...]", file=sys.stderr)
-        return 2
-    for seed in seeds:
-        for workload in WORKLOADS:
+    parser = argparse.ArgumentParser(description="sha256 of every benchmark query's output")
+    parser.add_argument("seeds", nargs="+", type=int, metavar="SEED")
+    parser.add_argument(
+        "--workload", action="append", choices=list(WORKLOADS), help="hash only this workload"
+    )
+    args = parser.parse_args(argv)
+    chosen = [workload for workload in WORKLOADS if workload in (args.workload or WORKLOADS)]
+    for seed in args.seeds:
+        for workload in chosen:
             queries = generate(workload, seed, query_count(workload, 25))
             digest = hashlib.sha256()
             for query in queries:

@@ -26,6 +26,7 @@ from jacobi_walk import (
     step_coefficients,
 )
 import jacobi_walk.chain as chain_module
+from jacobi_walk.polynomials import _ratios
 
 F = Fraction
 
@@ -143,7 +144,8 @@ class TestMatrixPower:
     def test_float_matches_list_loop_bit_for_bit(self, ab):
         params = ModelParams(*ab)
         cases = ((0, 2, 4), (1, 0, 3), (37, 5, 50), (150, 40, 20), (400, 3, 410), (5, 0, 300))
-        for t, i, j_max in cases:
+        # rows from i > t step a window that starts above state 0
+        for t, i, j_max in cases + ((2, 9, 12), (7, 30, 45), (25, 60, 90)):
             got = matrix_power_row(t, i, j_max, params, "float")
             assert all(type(v) is float for v in got)
             want = loop_row(t, i, j_max, params, "float")
@@ -153,7 +155,9 @@ class TestMatrixPower:
     @pytest.mark.parametrize("ab", [(0, 0), (3, 5), (6, 1)])
     def test_exact_matches_list_loop(self, ab):
         params = ModelParams(*ab)
-        for t, i, j_max in ((0, 2, 4), (1, 0, 3), (25, 4, 30), (60, 10, 5), (5, 0, 300)):
+        cases = ((0, 2, 4), (1, 0, 3), (25, 4, 30), (60, 10, 5), (5, 0, 300))
+        # rows from i > t step a window that starts above state 0
+        for t, i, j_max in cases + ((2, 9, 12), (7, 30, 45), (25, 60, 90)):
             got = matrix_power_row(t, i, j_max, params, "exact")
             assert all(type(v) is Fraction for v in got)
             assert got == loop_row(t, i, j_max, params, "exact")
@@ -164,14 +168,49 @@ class TestMatrixPower:
         sizes = []
         scaled_bands = chain_module._scaled_bands
 
-        def spy(N, params, engine):
-            sizes.append(N)
-            return scaled_bands(N, params, engine)
+        def spy(N, params, engine, first=0):
+            sizes.append(N - first)
+            return scaled_bands(N, params, engine, first)
 
         monkeypatch.setattr(chain_module, "_scaled_bands", spy)
         row = matrix_power_row(3, 0, 20000, ModelParams(3, 5), engine)
         assert sizes == [4]
         assert len(row) == 20001 and not any(row[4:]) and sum(row[:4]) == 1
+
+    @pytest.mark.parametrize("engine", ["float", "exact"])
+    @pytest.mark.parametrize("t, i", [(0, 9), (1, 1), (3, 2), (3, 10**4), (40, 10**6)])
+    def test_steps_only_the_window_that_the_start_reaches(self, monkeypatch, engine, t, i):
+        # t steps from i reach max(0, i - t)..i + t, at most 2t + 1 states,
+        # however far from state 0 the row starts
+        windows = []
+        scaled_bands = chain_module._scaled_bands
+
+        def spy(N, params, engine, first=0):
+            windows.append(range(first, N))
+            return scaled_bands(N, params, engine, first)
+
+        monkeypatch.setattr(chain_module, "_scaled_bands", spy)
+        js = range(max(0, i - t), i + t + 1)
+        row = chain_module._row(chain_module._power_row, t, i, js, ModelParams(3, 5), engine)
+        assert windows == [js] and len(js) <= 2 * t + 1
+        assert sum(_ratios(*row, engine)) == pytest.approx(1, abs=1e-14)
+
+    @pytest.mark.parametrize("engine", ["float", "exact"])
+    def test_window_changes_no_bit_of_the_truncated_row(self, engine):
+        # against t steps on the truncation to states 0..i+t, which banded
+        # rows stepped before they took the window; 60 rows per engine
+        for ab, t, i in product([(0, 0), (3, 5), (6, 2)], [0, 1, 3, 10, 40], [0, 2, 7, 50]):
+            params = ModelParams(*ab)
+            bands, den = chain_module._scaled_bands(i + t + 1, params, engine)
+            mass = np.zeros(i + t + 1, dtype=bands[0].dtype)
+            mass[i] = 1
+            for _ in range(t):
+                mass = chain_module._banded_step(mass, *bands)
+            want = _ratios(mass, den**t, engine).tolist()
+            got = matrix_power_row(t, i, i + t, params, engine)
+            if engine == "float":
+                got, want = [v.hex() for v in got], [v.hex() for v in want]
+            assert got == want, (ab, t, i)
 
     @pytest.mark.parametrize("a", range(7))
     def test_integer_bands_match_fraction_propagation(self, a):

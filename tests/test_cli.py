@@ -865,6 +865,23 @@ class TestOutOfMemory:
         assert not target.exists()
 
 
+class TestUnnamedOutOfMemory:
+    @pytest.mark.parametrize("engine", ["float", "exact"])
+    def test_message_less_error_is_named_by_its_type(self, monkeypatch, capsys, tmp_path, engine):
+        def refused(*args):
+            raise MemoryError()
+
+        monkeypatch.setattr(chain_module, "_power_row", refused)
+        monkeypatch.setattr(cli_module, "_power_row", refused)
+        target = tmp_path / "row.csv"
+        argv = ("transition", "--t", "3", "--i", "0", "--j-max", "3", "--engine", engine)
+        for output in ("-", str(target)):
+            code, text = run_cli(*argv, "--output", output)
+            assert (code, text) == (3, "")
+            assert capsys.readouterr().err == "jacobi-walk: out of memory: MemoryError\n"
+        assert not target.exists()
+
+
 class TestOutputsAndDeterminism:
     def test_output_file_written_with_lf(self, tmp_path):
         target = tmp_path / "table.csv"
@@ -937,8 +954,8 @@ class TestExactChecksAreComputed:
         # out of k: to k + 1, k or k - 1 respectively
         k, law_table = 7, polynomials_module._law_table
 
-        def planted(n_max, params, engine):
-            law = [list(pair) for pair in law_table(n_max, params, engine)]
+        def planted(n_max, params, engine, n_min=0):
+            law = [list(pair) for pair in law_table(n_max, params, engine, n_min)]
             law[term][0] = law[term][0].copy()
             law[term][0][k] += 1
             return tuple(map(tuple, law))

@@ -120,8 +120,8 @@ def test_planted_numerator_breaks_the_exact_comparison(monkeypatch):
     # one wrong up numerator at state 1 of every law the banded route reads
     law_table = chain_module._law_table
 
-    def planted(n_max, params, engine):
-        law = [list(pair) for pair in law_table(n_max, params, engine)]
+    def planted(n_max, params, engine, n_min=0):
+        law = [list(pair) for pair in law_table(n_max, params, engine, n_min)]
         law[0][0] = law[0][0].copy()
         law[0][0][1] += 1
         return tuple(map(tuple, law))

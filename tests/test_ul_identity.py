@@ -236,11 +236,11 @@ def test_planted_numerator_breaks_the_identity(monkeypatch, term):
     # banded route reads; the factors keep their closed forms
     law_table = chain_module._law_table
 
-    def planted(n_max, params, engine):
-        law = [list(pair) for pair in law_table(n_max, params, engine)]
-        if n_max >= 1:
+    def planted(n_max, params, engine, n_min=0):
+        law = [list(pair) for pair in law_table(n_max, params, engine, n_min)]
+        if n_min <= 1 <= n_max:
             law[term][0] = law[term][0].copy()
-            law[term][0][1] += 1
+            law[term][0][1 - n_min] += 1
         return tuple(map(tuple, law))
 
     monkeypatch.setattr(chain_module, "_law_table", planted)

@@ -379,7 +379,8 @@ def _check_grid(jobs, trajectories):
 
 
 class TestJobGrid:
-    """The piece grid alone: these tests call the helper and start no thread."""
+    """The piece grid: all but the last test call the helper alone and start
+    no thread."""
 
     @pytest.mark.parametrize("threads", GRID_THREADS)
     @pytest.mark.parametrize("trajectories", GRID_TRAJECTORIES)
@@ -397,6 +398,15 @@ class TestJobGrid:
     def test_many_threads_get_few_pieces(self):
         assert len(urn_module._jobs(10**6, 10**4)) <= 30
 
+    @pytest.mark.parametrize("threads", [t for t in GRID_THREADS if t > 1])
+    @pytest.mark.parametrize("trajectories", GRID_TRAJECTORIES + [600000])
+    def test_piece_count_is_a_multiple_of_the_pool_width(self, trajectories, threads):
+        # the pool runs as many threads as get _PIECE lanes each, and each
+        # of them takes the same number of pieces: 600000 lanes on two
+        # threads run as four pieces, not three
+        width = max(1, min(threads, trajectories // urn_module._PIECE))
+        assert len(urn_module._jobs(trajectories, threads)) % width == 0
+
     @pytest.mark.parametrize("plant", ["drop first", "repeat first", "drop last", "repeat last"])
     def test_check_fails_a_grid_that_drops_or_repeats_a_lane(self, plant):
         trajectories = (1 << 18) + (1 << 15) + 3
@@ -409,6 +419,18 @@ class TestJobGrid:
         }[plant]
         with pytest.raises(AssertionError):
             _check_grid(planted, trajectories)
+
+    def test_pool_holds_one_piece_per_thread(self):
+        # 2^19 lanes on two threads run as four pieces of 2^17 lanes, two at
+        # a time, at about 55 bytes per lane; two pieces of 2^18 lanes at
+        # once peak near 27.5 MiB
+        tracemalloc.start()
+        try:
+            terminal_state_counts(3, 2, ModelParams(3, 5), 1 << 19, 7, threads=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 << 20
 
 
 class TestEstimateTransition:
