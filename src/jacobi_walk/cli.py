@@ -32,9 +32,11 @@ Gauss rule whose one-step law overflows binary64, whose weight's total
 mass or some of whose weights underflow to 0.0 or whose nodes fail the
 root-count check or round onto one double, an inf or nan float cell, which
 is never printed and is named by the first such cell in row order, or an
-exponent too large for the arithmetic) or an allocation the machine
-refuses ("out of memory"); the stderr line carries the error's message,
-or its type name when it has none, and nothing is written to the output.
+exponent too large for the arithmetic) or an allocation refused, by the
+machine or by numpy for a table past its size limit ("out of memory");
+the stderr line carries the error's message, or its type name when it has
+none, and nothing is written to the output.  The parser has checked every
+argument, so a ValueError out of a command is numpy refusing a size.
 """
 
 from __future__ import annotations
@@ -408,8 +410,9 @@ def _run(argv) -> int:
     except UsageError as exc:
         print(f"jacobi-walk: error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, OverflowError, ZeroDivisionError, MemoryError) as exc:
-        kind = "out of memory" if isinstance(exc, MemoryError) else "numerical failure"
+    except (NumericalError, OverflowError, ZeroDivisionError, MemoryError, ValueError) as exc:
+        refused = isinstance(exc, (MemoryError, ValueError))
+        kind = "out of memory" if refused else "numerical failure"
         print(f"jacobi-walk: {kind}: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
     if args.output == "-":

@@ -111,21 +111,20 @@ _GRAM_SLACK = 1e-3
 
 
 # A long-lived process keeps at most 8192 moments.  Moment k is
-# b! / ((a+k+1) ... (a+b+k+1)), whose size grows only like log k; an entry
-# costs about 160 bytes with its cache key at alpha, beta <= 6, k <= 96, so a
-# full cache of such entries is about 1.3 MB.  The exact engine itself reads
-# the normalized moments of ``_normalized_moments`` instead.
+# 1 / N(a+k, b), whose size grows only like log k; an entry costs about 160
+# bytes with its cache key at alpha, beta <= 6, k <= 96, so a full cache of
+# such entries is about 1.3 MB.  The exact engine itself reads the
+# normalized moments of ``_normalized_moments`` instead.
 @lru_cache(maxsize=8192)
 def moment(k, params: ModelParams) -> Fraction:
     """Exact k-th moment of the weight: integral of x**k * x**a * (1-x)**b.
 
-    Equals (a+k)! b! / (a+b+k+1)! for integer exponents.
+    For integer exponents it is B(a+k+1, b+1) = 1 / N(a+k, b), N the
+    inverse mass.
     """
     k = check_int(k, "moment order")
     a, b = params.require_integral("moment")
-    return Fraction(
-        math.factorial(a + k) * math.factorial(b), math.factorial(a + b + k + 1)
-    )
+    return Fraction(1, _inverse_mass(a + k, b))
 
 
 def _normalized_moments(k_max: int, a: int, b: int) -> tuple[list[int], int]:
@@ -149,17 +148,14 @@ def integrate_poly_exact(coeffs, params: ModelParams) -> Fraction:
     """Exact weighted integral of a polynomial given by monomial coefficients.
 
     ``coeffs`` lists the coefficients lowest degree first (Fractions or
-    ints); the result is sum_k coeffs[k] * moment(k), formed as total_mass
-    times one integer dot product of the coefficients and the normalized
-    moments over their common denominators.
+    ints); the result is sum_k coeffs[k] * moment(k), formed as one integer
+    dot product of the coefficients and the normalized moments over their
+    common denominators and the inverse mass N(a, b).
     """
     a, b = params.require_integral("integrate_poly_exact")
     nums, den = _common_denominator(coeffs)
     tops, bottom = _normalized_moments(len(nums) - 1, a, b)
-    mass = total_mass(params, "exact")
-    return Fraction(
-        mass.numerator * sum(map(operator.mul, nums, tops)), mass.denominator * den * bottom
-    )
+    return Fraction(sum(map(operator.mul, nums, tops)), den * bottom * _inverse_mass(a, b))
 
 
 def _exact_spectral_terms(t: int, rows, cols, params: ModelParams) -> tuple[list, list]:

@@ -199,7 +199,7 @@ def poly_table(n_max, xs, params: ModelParams) -> np.ndarray:
 
 
 def _rising(x: int, n: int) -> int:
-    """The rising factorial (x)_n = x (x+1) ... (x+n-1)."""
+    """The Pochhammer symbol (x)_n = x (x+1) ... (x+n-1)."""
     return math.prod(range(x, x + n))
 
 

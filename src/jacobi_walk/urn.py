@@ -35,9 +35,12 @@ balanced over the threads, on a grid that depends on the trajectory count
 and the thread count; the counts depend on neither, since lane k's draws
 depend only on (seed, k, draw index) and the histogram is a sum, so
 results are bit-reproducible.  A thread holds one piece's lane arrays at
-a time, so an ensemble's memory is bounded by its thread count, not by its
-size.  The vectorized literal sampler keeps each lane's state, urn sizes
-and picks in uint64, the dtype of the draws, and moves a lane by adding
+a time, and a piece counts only the 2t + 1 states max(0, n0 - t)..n0 + t
+that t steps reach, added to the result as it arrives.  So besides the
+(n0 + t + 1)-state result, a literal-urn ensemble holds its threads' lane
+arrays and at most one (2t + 1)-state window per piece, whatever its size.
+The vectorized literal sampler keeps each lane's state, urn sizes and
+picks in uint64, the dtype of the draws, and moves a lane by adding
 its up mask and subtracting its down mask.  A vectorized sampler that
 draws from the float one-step law directly (one draw per step) is
 available as sampler="coefficients"; it is a labeled fast path and is
@@ -103,13 +106,9 @@ class StepTrace:
     state_after: int
 
     def __post_init__(self) -> None:
-        assert self.color_changed == (self.chosen_color == self.auxiliary_color)
-        if self.color_changed:
-            expected = self.state_before + (-1 if self.chosen_color == "blue" else 1)
-        else:
-            expected = self.state_before
-        assert self.state_after == expected
-        assert self.state_after >= 0
+        delta = _state_change(self.chosen_color, self.auxiliary_color)
+        assert self.color_changed == (delta != 0)
+        assert self.state_after == self.state_before + delta >= 0
 
 
 def _state_change(chosen: Color, auxiliary: Color) -> int:
@@ -186,8 +185,10 @@ def simulate_trajectory(n0, t, params: ModelParams, rng) -> list[int]:
 def _mechanism_chunk(
     n0: int, t: int, a: int, b: int, seed: int, start: int, size: int
 ) -> np.ndarray:
-    """Terminal states of trajectories start..start+size-1, literal mechanism,
-    all lanes advanced in lockstep (two bounded draws per step per lane)."""
+    """Counts of the terminal states of trajectories start..start+size-1,
+    literal mechanism, all lanes advanced in lockstep (two bounded draws per
+    step per lane): entry k counts state max(0, n0 - t) + k, the lowest that
+    t steps reach, up to the highest state a lane reached."""
     keys = stream_keys(seed, start, size)
     # the lane arrays are allocated once per chunk and updated in place; the
     # draws write picks and whichever counter array is not their input
@@ -218,7 +219,8 @@ def _mechanism_chunk(
         up &= np.logical_not(blue, out=blue)
         states += up
         states -= down
-    return np.bincount(states.astype(np.intp), minlength=n0 + t + 1).astype(np.int64)
+    states -= np.uint64(max(0, n0 - t))
+    return np.bincount(states.astype(np.intp))
 
 
 def _raw_threshold(x: float) -> int:
@@ -259,7 +261,8 @@ def _coefficient_chunk(
     start: int,
     size: int,
 ) -> np.ndarray:
-    """Fast path: one categorical draw per step from the float one-step law."""
+    """Fast path: one categorical draw per step from the float one-step law;
+    the counts are laid out as ``_mechanism_chunk``'s."""
     down_below, up_above = _raw_tables(thresholds)
     keys = stream_keys(seed, start, size)
     counters, advanced = np.zeros(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
@@ -276,7 +279,8 @@ def _coefficient_chunk(
         np.greater(raws, np.take(up_above, states, out=gathered, mode="clip"), out=up)
         states += up
         states -= down
-    return np.bincount(states, minlength=n0 + t + 1).astype(np.int64)
+    states -= max(0, n0 - t)
+    return np.bincount(states)
 
 
 def _jobs(trajectories: int, threads: int) -> list[tuple[int, int]]:
@@ -339,13 +343,18 @@ def terminal_state_counts(
         def run(start: int, size: int) -> np.ndarray:
             return _coefficient_chunk(n0, t, thresholds, seed, start, size)
     jobs = _jobs(trajectories, threads)
+    counts = np.zeros(n0 + t + 1, dtype=np.int64)
+    reach = counts[max(0, n0 - t) :]
+    # counts add commutatively, so each piece is added as it arrives
     if threads == 1 or len(jobs) == 1:
-        pieces = [run(start, size) for start, size in jobs]
+        for start, size in jobs:
+            piece = run(start, size)
+            reach[: piece.size] += piece
     else:
         with ThreadPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
-            pieces = list(pool.map(lambda job: run(*job), jobs))
-    # counts add commutatively, so summation order is irrelevant
-    return np.sum(pieces, axis=0)
+            for piece in pool.map(lambda job: run(*job), jobs):
+                reach[: piece.size] += piece
+    return counts
 
 
 @dataclass(frozen=True)

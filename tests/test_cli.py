@@ -865,6 +865,40 @@ class TestOutOfMemory:
         assert not target.exists()
 
 
+# 2^62 states: numpy refuses every table of that many cells with a
+# ValueError before it allocates, whatever the machine's memory
+HUGE = str(1 << 62)
+
+
+class TestTableTooLargeForNumpy:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            f"coeffs --n-max {HUGE}",
+            f"coeffs --n-max {HUGE} --engine exact",
+            f"eval --n-max {HUGE} --x 0",
+            f"eval --n-max {HUGE} --x 1/2 --engine exact",
+            f"stationary --n-max {HUGE}",
+            f"quadrule --points {HUGE}",
+            f"transition --t 0 --i {HUGE} --j-max {HUGE}",
+            f"transition --t 0 --i {HUGE} --j-max {HUGE} --engine exact",
+            f"transition --t 0 --i 0 --j-max {HUGE} --method km",
+            f"transition --t 0 --i 0 --j-max {HUGE} --method km --engine exact",
+            f"transition --t 1 --i {HUGE} --j-max 1 --method mc --trajectories 1 --seed 1",
+            f"simulate --n0 {HUGE} --t 0 --trajectories 1 --seed 1",
+        ],
+    )
+    def test_size_refusal_exits_3_with_one_line(self, capsys, tmp_path, argv):
+        target = tmp_path / "table.csv"
+        for output in ("-", str(target)):
+            code, text = run_cli(*argv.split(), "--output", output)
+            assert (code, text) == (3, "")
+            err = capsys.readouterr().err
+            assert err.startswith("jacobi-walk: out of memory: array is too big")
+            assert err.count("\n") == 1 and err.endswith("\n")
+        assert not target.exists()
+
+
 class TestUnnamedOutOfMemory:
     @pytest.mark.parametrize("engine", ["float", "exact"])
     def test_message_less_error_is_named_by_its_type(self, monkeypatch, capsys, tmp_path, engine):

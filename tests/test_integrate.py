@@ -6,6 +6,7 @@ budget.  An M-point rule owes exactness through degree 2M - 1.
 """
 
 import hashlib
+import itertools
 import math
 import operator
 import re
@@ -57,6 +58,14 @@ class TestMoment:
         params = ModelParams(4, 3)
         assert moment(0, params) == total_mass(params, "exact")
 
+    def test_matches_the_factorial_form(self):
+        # B(a+k+1, b+1) = (a+k)! b! / (a+b+k+1)!, independent of the
+        # inverse mass that moment() reads
+        for a, b in itertools.product(range(7), repeat=2):
+            for k in range(41):
+                top = math.factorial(a + k) * math.factorial(b)
+                assert moment(k, ModelParams(a, b)) == F(top, math.factorial(a + b + k + 1))
+
     def test_rejects_fractional_params(self):
         with pytest.raises(ValueError):
             moment(1, ModelParams(0.5, 0))
@@ -75,7 +84,7 @@ class TestIntegratePolyExact:
 
     @pytest.mark.parametrize("ab", [(0, 0), (1, 2), (6, 0), (0, 6), (6, 6)])
     def test_monomials_integrate_to_moments(self, ab):
-        # the normalized moments against moment()'s factorial form
+        # the normalized moments against moment()'s inverse-mass form
         params = ModelParams(*ab)
         for k in range(61):
             assert integrate_poly_exact([0] * k + [1], params) == moment(k, params)

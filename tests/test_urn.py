@@ -29,6 +29,7 @@ from jacobi_walk import (
     terminal_state_counts,
 )
 import jacobi_walk.urn as urn_module
+from jacobi_walk.urn import StepTrace
 from jacobi_walk.polynomials import _step_table
 from test_rng import stop_after_raws
 
@@ -74,6 +75,19 @@ class TestSimulateStep:
         assert trace.color_changed == (trace.chosen_color == trace.auxiliary_color)
         assert trace.state_after >= 0
         assert abs(trace.state_after - n) <= 1
+
+    @pytest.mark.parametrize(
+        "before, chosen, auxiliary, changed, after",
+        [
+            (3, "blue", "blue", False, 2),  # a match, but the record says no change
+            (3, "red", "red", True, 5),  # red turns blue: up by one, not two
+            (0, "blue", "blue", True, -1),  # blue matched at the origin: state -1
+        ],
+        ids=["changed-flag", "state-off-by-one", "negative-state"],
+    )
+    def test_inconsistent_trace_is_refused(self, before, chosen, auxiliary, changed, after):
+        with pytest.raises(AssertionError):
+            StepTrace(before, before + 1, chosen, auxiliary, changed, after)
 
     def test_origin_never_steps_down(self):
         params = ModelParams(0, 0)
@@ -134,15 +148,18 @@ class TestEnsembles:
     def test_vectorized_matches_per_trajectory_scalar(self):
         # the vectorized ensemble must reproduce, count for count, what the
         # scalar mechanism produces trajectory by trajectory on the same
-        # substreams -- this is what makes chunking/threading irrelevant
-        n0, t, seed, total = 2, 7, 424242, 300
-        params = ModelParams(1, 2)
-        scalar_counts = np.zeros(n0 + t + 1, dtype=np.int64)
-        for k in range(total):
-            path = simulate_trajectory(n0, t, params, CounterStream.from_seed(seed, k))
-            scalar_counts[path[-1]] += 1
-        vector_counts = terminal_state_counts(n0, t, params, total, seed)
-        assert np.array_equal(scalar_counts, vector_counts)
+        # substreams -- this is what makes chunking/threading irrelevant.
+        # From n0 > t no lane reaches the states below n0 - t, which the
+        # pieces do not count.
+        total = 300
+        for n0, t, seed, ab in ((2, 7, 424242, (1, 2)), (9, 3, 4243, (3, 1))):
+            params = ModelParams(*ab)
+            scalar_counts = np.zeros(n0 + t + 1, dtype=np.int64)
+            for k in range(total):
+                path = simulate_trajectory(n0, t, params, CounterStream.from_seed(seed, k))
+                scalar_counts[path[-1]] += 1
+            vector_counts = terminal_state_counts(n0, t, params, total, seed)
+            assert np.array_equal(scalar_counts, vector_counts)
 
     def test_thread_count_does_not_change_counts(self):
         params = ModelParams(2, 0)
@@ -431,6 +448,22 @@ class TestJobGrid:
         finally:
             tracemalloc.stop()
         assert peak <= 20 << 20
+
+    def test_pieces_count_only_the_reachable_window(self):
+        # 2^20 lanes from n0 = 4 * 10^6 in eight pieces: each piece counts
+        # the 2t + 1 states it can reach and is added to the result as it
+        # arrives, so the peak is the 30.5 MiB result plus two pieces' lane
+        # arrays (45 MiB), not eight whole-range histograms (519 MiB)
+        params, lanes, n0 = ModelParams(3, 5), 1 << 20, 4 * 10**6
+        tracemalloc.start()
+        try:
+            counts = terminal_state_counts(n0, 2, params, lanes, 7, threads=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20
+        assert counts.size == n0 + 3 and counts.sum() == lanes
+        assert np.array_equal(counts, terminal_state_counts(n0, 2, params, lanes, 7))
 
 
 class TestEstimateTransition:
