@@ -27,8 +27,9 @@ in an array, rather than from ``_row``: CI's traced benchmark step counts
 those public calls.
 
 Exit codes: 0 success, 2 argument error (message names the offending
-flag; an unwritable --output counts as one), 3 numerical failure (e.g. a
-Gauss rule whose one-step law overflows binary64, whose weight's total
+flag; an unwritable --output counts as one, and so does a size flag,
+--n-max, --i-max, --j-max or --points, above 2^62), 3 numerical failure
+(e.g. a Gauss rule whose one-step law overflows binary64, whose weight's total
 mass or some of whose weights underflow to 0.0 or whose nodes fail the
 root-count check or round onto one double, an inf or nan float cell, which
 is never printed and is named by the first such cell in row order, or an
@@ -90,18 +91,32 @@ def _texts(nums, dens) -> list[str]:
     return list(map(_ratio_text, nums, repeat(dens) if isinstance(dens, int) else dens))
 
 
-def _int_at_least(minimum: int):
-    """argparse type for integers >= minimum; argparse names the flag."""
+def _int_at_least(minimum: int, maximum: float = math.inf):
+    """argparse type for integers >= minimum and <= maximum; argparse names the flag."""
 
     def parse(text: str) -> int:
         try:
-            return check_int(int(text), "value", minimum)
+            value = check_int(int(text), "value", minimum)
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"expected an integer >= {minimum}, got {text!r}"
             ) from None
+        if value > maximum:
+            raise argparse.ArgumentTypeError(f"expected an integer <= {maximum}, got {text!r}")
+        return value
 
     return parse
+
+
+def _size(minimum: int):
+    """argparse type for a size flag (--n-max, --i-max, --j-max, --points).
+
+    At most 2^62: numpy refuses any table of more than 2^60 float64 cells,
+    so no answerable query is lost, while near 2^63 its arange returns an
+    empty array instead of refusing and past it a size no longer fits
+    numpy's index type.
+    """
+    return _int_at_least(minimum, 1 << 62)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,13 +158,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "coeffs", parents=[common], help="one-step law (up, stay, down) per state"
     )
-    p.add_argument("--n-max", type=_int_at_least(0), required=True, help="largest state")
+    p.add_argument("--n-max", type=_size(0), required=True, help="largest state")
     p.set_defaults(run=cmd_coeffs)
 
     p = sub.add_parser(
         "eval", parents=[common], help="values of the walk polynomials at a point"
     )
-    p.add_argument("--n-max", type=_int_at_least(0), required=True, help="largest degree")
+    p.add_argument("--n-max", type=_size(0), required=True, help="largest degree")
     p.add_argument(
         "--x",
         required=True,
@@ -162,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--t", type=_int_at_least(0), required=True, help="number of steps")
     p.add_argument("--i", type=_int_at_least(0), required=True, help="start state")
-    p.add_argument("--j-max", type=_int_at_least(0), required=True, help="largest end state")
+    p.add_argument("--j-max", type=_size(0), required=True, help="largest end state")
     p.add_argument(
         "--method",
         choices=("km", "matrix", "mc"),
@@ -179,13 +194,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "stationary", parents=[common], help="invariant measure and fixed-point residuals"
     )
-    p.add_argument("--n-max", type=_int_at_least(1), required=True, help="largest state")
+    p.add_argument("--n-max", type=_size(1), required=True, help="largest state")
     p.set_defaults(run=cmd_stationary)
 
     p = sub.add_parser(
         "orthocheck", parents=[common], help="normalized Gram matrix of the polynomials"
     )
-    p.add_argument("--i-max", type=_int_at_least(0), required=True, help="largest degree")
+    p.add_argument("--i-max", type=_size(0), required=True, help="largest degree")
     p.set_defaults(run=cmd_orthocheck)
 
     p = sub.add_parser(
@@ -203,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "quadrule", parents=[common], help="Gauss rule nodes and weights for the weight"
     )
-    p.add_argument("--points", type=_int_at_least(1), required=True, help="number of nodes")
+    p.add_argument("--points", type=_size(1), required=True, help="number of nodes")
     p.set_defaults(run=cmd_quadrule)
 
     return parser

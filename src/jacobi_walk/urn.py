@@ -37,8 +37,10 @@ depend only on (seed, k, draw index) and the histogram is a sum, so
 results are bit-reproducible.  A thread holds one piece's lane arrays at
 a time, and a piece counts only the 2t + 1 states max(0, n0 - t)..n0 + t
 that t steps reach, added to the result as it arrives.  So besides the
-(n0 + t + 1)-state result, a literal-urn ensemble holds its threads' lane
-arrays and at most one (2t + 1)-state window per piece, whatever its size.
+(n0 + t + 1)-state result, an ensemble of either sampler holds its
+threads' lane arrays and at most one (2t + 1)-state window per piece,
+whatever its size; the coefficients sampler also holds two uint64 tables
+of that window, built once per ensemble.
 The vectorized literal sampler keeps each lane's state, urn sizes and
 picks in uint64, the dtype of the draws, and moves a lane by adding
 its up mask and subtracting its down mask.  A vectorized sampler that
@@ -58,6 +60,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Literal
 
 import numpy as np
@@ -120,21 +123,24 @@ def _state_change(chosen: Color, auxiliary: Color) -> int:
     return -1 if chosen == "blue" else 1
 
 
+def _auxiliary_urn(n: int, a: int, b: int, chosen: Color) -> tuple[int, int]:
+    """(blue balls, total balls) of the auxiliary urn after a ``chosen`` draw
+    at state n: it holds n + alpha blue and n + beta red after a blue draw,
+    one ball of each color more after a red one."""
+    if chosen == "blue":
+        return n + a, 2 * n + a + b
+    return n + a + 1, 2 * n + a + b + 2
+
+
 def simulate_step(n, params: ModelParams, rng) -> StepTrace:
     """One literal mechanism step; ``rng`` provides draw_below(bound)."""
     n = check_int(n, "state")
     a, b = params.require_integral("simulate_step")
     mixed_in = n + a + b + 1
-    main_pick = rng.draw_below(2 * n + a + b + 1)
-    if main_pick < n:
-        chosen: Color = "blue"
-        # n >= 1 on this branch, so the auxiliary urn is nonempty
-        aux_pick = rng.draw_below(2 * n + a + b)
-        auxiliary: Color = "blue" if aux_pick < n + a else "red"
-    else:
-        chosen = "red"
-        aux_pick = rng.draw_below(2 * n + a + b + 2)
-        auxiliary = "blue" if aux_pick < n + a + 1 else "red"
+    # a blue draw needs n >= 1, so the auxiliary urn it selects is nonempty
+    chosen: Color = "blue" if rng.draw_below(2 * n + a + b + 1) < n else "red"
+    blue, total = _auxiliary_urn(n, a, b, chosen)
+    auxiliary: Color = "blue" if rng.draw_below(total) < blue else "red"
     delta = _state_change(chosen, auxiliary)
     return StepTrace(
         state_before=n,
@@ -154,20 +160,14 @@ def step_distribution_exact(n, params: ModelParams) -> tuple[Fraction, Fraction,
     """
     n = check_int(n, "state")
     a, b = params.require_integral("step_distribution_exact")
-    main_total = 2 * n + a + b + 1
-    outcomes: list[tuple[Color, Color, Fraction]] = []
-    if n > 0:
-        aux_total = 2 * n + a + b
-        p_blue = Fraction(n, main_total)
-        outcomes.append(("blue", "blue", p_blue * Fraction(n + a, aux_total)))
-        outcomes.append(("blue", "red", p_blue * Fraction(n + b, aux_total)))
-    aux_total = 2 * n + a + b + 2
-    p_red = Fraction(main_total - n, main_total)
-    outcomes.append(("red", "blue", p_red * Fraction(n + a + 1, aux_total)))
-    outcomes.append(("red", "red", p_red * Fraction(n + b + 1, aux_total)))
+    main = 2 * n + a + b + 1
     law = {-1: Fraction(0), 0: Fraction(0), 1: Fraction(0)}
-    for chosen, auxiliary, probability in outcomes:
-        law[_state_change(chosen, auxiliary)] += probability
+    for chosen, drawn in (("blue", n), ("red", main - n)):
+        if not drawn:  # no blue ball at n = 0, whose auxiliary urn may be empty
+            continue
+        blue, total = _auxiliary_urn(n, a, b, chosen)
+        for auxiliary, matched in (("blue", blue), ("red", total - blue)):
+            law[_state_change(chosen, auxiliary)] += Fraction(drawn * matched, main * total)
     assert sum(law.values()) == 1
     return law[-1], law[0], law[1]
 
@@ -254,32 +254,27 @@ def _raw_tables(thresholds: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, 
 
 
 def _coefficient_chunk(
-    n0: int,
-    t: int,
-    thresholds: tuple[np.ndarray, np.ndarray],
-    seed: int,
-    start: int,
-    size: int,
+    n0: int, t: int, down_below: np.ndarray, up_above: np.ndarray, seed: int, start: int, size: int
 ) -> np.ndarray:
-    """Fast path: one categorical draw per step from the float one-step law;
-    the counts are laid out as ``_mechanism_chunk``'s."""
-    down_below, up_above = _raw_tables(thresholds)
+    """Fast path: one categorical draw per step from the float one-step law,
+    given as ``_raw_tables`` of states max(0, n0 - t)..n0 + t; the counts are
+    laid out as ``_mechanism_chunk``'s."""
     keys = stream_keys(seed, start, size)
     counters, advanced = np.zeros(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
     raws, gathered = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
-    states = np.full(size, n0, dtype=np.intp)
+    # a lane holds its state's offset in the tables' window
+    states = np.full(size, min(n0, t), dtype=np.intp)
     down, up = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
     for _ in range(t):
         raw_many(keys, counters, out=(raws, advanced))
         counters, advanced = advanced, counters
-        # a lane's state lies in 0..n0+t, the tables' length, so the gathers
-        # clip nothing (mode="raise" would buffer its output); L(down) <=
-        # L(down + stay), so a lane never steps both ways
+        # a lane's offset lies within the window, the tables' length, so the
+        # gathers clip nothing (mode="raise" would buffer its output);
+        # L(down) <= L(down + stay), so a lane never steps both ways
         np.less(raws, np.take(down_below, states, out=gathered, mode="clip"), out=down)
         np.greater(raws, np.take(up_above, states, out=gathered, mode="clip"), out=up)
         states += up
         states -= down
-    states -= max(0, n0 - t)
     return np.bincount(states)
 
 
@@ -305,7 +300,8 @@ def terminal_state_counts(
 ) -> np.ndarray:
     """Histogram of terminal states over an ensemble of trajectories.
 
-    Returns int64 counts for states 0..n0+t (every reachable state).
+    Returns int64 counts for states 0..n0+t; the states below
+    max(0, n0 - t) are unreachable in t steps and count 0.
     Trajectory k runs on substream k of ``seed``, so the result depends
     only on (n0, t, params, trajectories, seed, sampler), not on threads.
     sampler="urn" is the literal mechanism; sampler="coefficients" draws
@@ -316,9 +312,8 @@ def terminal_state_counts(
     t = check_int(t, "t")
     trajectories = check_int(trajectories, "trajectories", 1)
     threads = check_int(threads, "threads", 1)
-    if sampler not in ("urn", "coefficients"):
-        raise ValueError(f"sampler must be 'urn' or 'coefficients', got {sampler!r}")
     a, b = params.require_integral("terminal_state_counts")
+    first = max(0, n0 - t)
     if sampler == "urn":
         for name, value in (("alpha", a), ("beta", b)):
             if value > _MASK:
@@ -328,32 +323,31 @@ def terminal_state_counts(
                 f"alpha={a}, beta={b}: the largest urn, 2(n0+t) + alpha + beta + 2 balls, "
                 f"exceeds the uint64 limit {_MASK}"
             )
-        def run(start: int, size: int) -> np.ndarray:
-            return _mechanism_chunk(n0, t, a, b, seed, start, size)
-    else:
-        law = _step_table(n0 + t, params, "float")
-        finite = np.isfinite(law).all(axis=0)
+        chunk, law = _mechanism_chunk, (a, b)
+    elif sampler == "coefficients":
+        # the tables cover only the window of states that t steps reach
+        window = _step_table(n0 + t, params, "float", first)
+        finite = np.isfinite(window).all(axis=0)
         if not finite.all():
             raise NumericalError(
                 "coefficients sampler: the one-step law overflows binary64 "
-                f"at state {np.argmin(finite)}"
+                f"at state {first + np.argmin(finite)}"
             )
-        _, stay, down = law
-        thresholds = (down, down + stay)
-        def run(start: int, size: int) -> np.ndarray:
-            return _coefficient_chunk(n0, t, thresholds, seed, start, size)
-    jobs = _jobs(trajectories, threads)
-    counts = np.zeros(n0 + t + 1, dtype=np.int64)
-    reach = counts[max(0, n0 - t) :]
-    # counts add commutatively, so each piece is added as it arrives
-    if threads == 1 or len(jobs) == 1:
-        for start, size in jobs:
-            piece = run(start, size)
-            reach[: piece.size] += piece
+        _, stay, down = window
+        chunk, law = _coefficient_chunk, _raw_tables((down, down + stay))
     else:
-        with ThreadPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
-            for piece in pool.map(lambda job: run(*job), jobs):
-                reach[: piece.size] += piece
+        raise ValueError(f"sampler must be 'urn' or 'coefficients', got {sampler!r}")
+    run = partial(chunk, n0, t, *law, seed)
+    starts, sizes = zip(*_jobs(trajectories, threads))
+    workers = min(threads, len(starts))
+    counts = np.zeros(n0 + t + 1, dtype=np.int64)
+    reach = counts[first:]
+    # counts add commutatively, so each piece is added as it arrives; one
+    # worker maps the pieces on the calling thread, and a pool that is
+    # never submitted to starts no thread
+    with ThreadPoolExecutor(workers) as pool:
+        for piece in (pool.map if workers > 1 else map)(run, starts, sizes):
+            reach[: piece.size] += piece
     return counts
 
 

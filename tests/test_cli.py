@@ -899,6 +899,34 @@ class TestTableTooLargeForNumpy:
         assert not target.exists()
 
 
+class TestSizeFlagBound:
+    # past 2^62 a size flag is an argument error: near 2^63 numpy's arange
+    # returns an empty array instead of refusing, so a float table ran
+    # until memory ran out, and past it a size no longer fit numpy's index
+    @pytest.mark.parametrize("size", [(1 << 62) + 1, 1 << 63, 1 << 64])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "coeffs --n-max {}",
+            "eval --n-max {} --x 1/2 --engine exact",
+            "stationary --n-max {}",
+            "orthocheck --i-max {}",
+            "transition --t 1 --i 0 --j-max {}",
+            "quadrule --points {}",
+        ],
+    )
+    def test_size_past_2_62_exits_2_naming_the_flag(self, capsys, tmp_path, argv, size):
+        words = argv.split()
+        flag = words[words.index("{}") - 1]
+        target = tmp_path / "table.csv"
+        for output in ("-", str(target)):
+            code, text = run_cli(*argv.format(size).split(), "--output", output)
+            assert (code, text) == (2, "")
+            err = capsys.readouterr().err
+            assert f"argument {flag}: expected an integer <= {1 << 62}, got '{size}'" in err
+        assert not target.exists()
+
+
 class TestUnnamedOutOfMemory:
     @pytest.mark.parametrize("engine", ["float", "exact"])
     def test_message_less_error_is_named_by_its_type(self, monkeypatch, capsys, tmp_path, engine):

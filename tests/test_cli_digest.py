@@ -1,9 +1,9 @@
 """The benchmark's exact-oracle queries print the bytes pinned in ``tests/cli_digest.txt``.
 
-CI compares every line of ``tests/cli_digest.py 971`` with that file.  This
-test recomputes only the exact-oracle line: its cells are rational text, so
-it depends neither on libm nor on np.longdouble.  A change that moves an
-output byte updates the file in the same commit.
+CI compares every line of ``tests/cli_digest.py 971 972`` with that file.
+This test recomputes only the exact-oracle line of seed 971: its cells are
+rational text, so it depends neither on libm nor on np.longdouble.  A
+change that moves an output byte updates the file in the same commit.
 """
 
 import importlib.util
@@ -23,5 +23,5 @@ def test_exact_oracle_digest_matches_the_pinned_line(monkeypatch, capsys):
     assert cli_digest.main(["971", "--workload", "exact-oracle"]) == 0
     pinned = (HERE / "cli_digest.txt").read_text().splitlines()
     assert capsys.readouterr().out.splitlines() == [
-        line for line in pinned if line.startswith("exact-oracle ")
+        line for line in pinned if line.startswith("exact-oracle 971 ")
     ]

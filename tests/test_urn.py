@@ -193,8 +193,8 @@ class TestEnsembles:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
-                return map(fn, jobs)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         params = ModelParams(1, 0)
         base = terminal_state_counts(0, 3, params, 3 << 15, 77)
@@ -262,10 +262,13 @@ class TestEnsembles:
     @pytest.mark.parametrize("huge", ["alpha", "beta"])
     def test_coefficient_sampler_refuses_an_overflowing_law(self, huge):
         # at 10**300 the float law is nan from state 1 on; every compare with
-        # nan is False, so the lanes would stand still (alpha) or climb (beta)
+        # nan is False, so the lanes would stand still (alpha) or climb (beta).
+        # The refusal names the first state of the window that t = 3 steps
+        # reach: max(0, n0 - 3)..n0 + 3 starts at 2 from n0 = 5, at 0 from 2
         params = ModelParams(**{"alpha": 0, "beta": 0, huge: 10**300})
-        with pytest.raises(NumericalError, match="one-step law overflows binary64 at state 1"):
-            terminal_state_counts(5, 3, params, 1000, 1, sampler="coefficients")
+        for n0, state in ((5, 2), (2, 1)):
+            with pytest.raises(NumericalError, match=f"overflows binary64 at state {state}$"):
+                terminal_state_counts(n0, 3, params, 1000, 1, sampler="coefficients")
 
     @pytest.mark.parametrize("value", [2**64, 10**400])
     @pytest.mark.parametrize("huge", ["alpha", "beta"])
@@ -286,8 +289,9 @@ class TestEnsembles:
         if sampler == "urn":
             chunk, law = urn_module._mechanism_chunk, (3, 5)
         else:
+            # from n0 = 3 the window of states that t steps reach starts at 0
             _, stay, down = _step_table(3 + t, ModelParams(3, 5), "float")
-            chunk, law = urn_module._coefficient_chunk, ((down, down + stay),)
+            chunk, law = urn_module._coefficient_chunk, urn_module._raw_tables((down, down + stay))
         tracemalloc.start()
         try:
             chunk(3, t, *law, 7, 0, lanes)
@@ -295,6 +299,25 @@ class TestEnsembles:
         finally:
             tracemalloc.stop()
         assert peak < 64 * lanes
+
+    def test_coefficient_tables_are_built_once_on_the_window(self, monkeypatch):
+        # eight pieces from n0 = 1000 share one pair of tables over the
+        # 2t + 1 states 998..1002; a table per piece over 0..n0+t would
+        # take 8 * 2 * 1003 thresholds
+        calls = []
+        threshold = urn_module._raw_threshold
+
+        def counted(x):
+            calls.append(x)
+            return threshold(x)
+
+        monkeypatch.setattr(urn_module, "_raw_threshold", counted)
+        lanes, t = 1 << 20, 2
+        counts = terminal_state_counts(
+            1000, t, ModelParams(3, 5), lanes, 7, threads=2, sampler="coefficients"
+        )
+        assert len(calls) == 2 * (2 * t + 1)
+        assert counts.sum() == lanes and not counts[:998].any()
 
     def test_sampler_name_validated(self):
         with pytest.raises(ValueError):
