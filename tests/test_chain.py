@@ -5,6 +5,7 @@ route must match it rationally digit for digit, and in float to tight
 absolute error.  t-step values marked "hand" come from path enumeration.
 """
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -61,18 +62,28 @@ def loop_row(t, i, j_max, params, engine):
     return mass[: j_max + 1]
 
 
+def fraction_bands(bands, den):
+    """Exact bands as Fractions: diag[k] and sub[k] are over den[k], and
+    sup[k], the move into state k + 1, over den[k + 1]."""
+    diag, sup, sub = bands
+    return tuple(
+        _ratios(band, over, "exact") for band, over in ((diag, den), (sup, den[1:]), (sub, den[:-1]))
+    )
+
+
 class TestScaledBands:
     """The truncation of P to N states that both engines' routes step."""
 
     def test_smallest_truncation(self):
-        (diag, sup, sub), den = chain_module._scaled_bands(1, ModelParams(2, 1), "exact")
-        assert sup.size == 0 and sub.size == 0
-        assert F(diag[0], den) == step_coefficients(0, ModelParams(2, 1), "exact").stay
+        bands, den = chain_module._scaled_bands(1, ModelParams(2, 1), "exact")
+        diag, sup, sub = fraction_bands(bands, den)
+        assert sup.size == 0 and sub.size == 0 and den.size == 1
+        assert diag[0] == step_coefficients(0, ModelParams(2, 1), "exact").stay
 
     def test_two_state_truncation(self):
         # hand: a=b=0 rows ((1/2, 1/2, -), (1/6, 1/2)) with up_1 clipped
         bands, den = chain_module._scaled_bands(2, ModelParams(0, 0), "exact")
-        diag, sup, sub = ([F(v, den) for v in band] for band in bands)
+        diag, sup, sub = (band.tolist() for band in fraction_bands(bands, den))
         assert diag == [F(1, 2), F(1, 2)]
         assert sup == [F(1, 2)]
         assert sub == [F(1, 6)]
@@ -80,21 +91,42 @@ class TestScaledBands:
     @pytest.mark.parametrize("engine", ["exact", "float"])
     @pytest.mark.parametrize("ab", [(0, 0), (3, 2), (6, 1)])
     def test_rows_sum_to_one(self, ab, engine):
-        # interior rows sum to D (exact) or to 1 within rounding (float);
-        # the last row loses the clipped up-move out of state N - 1
+        # interior rows sum to exactly 1 (exact, each entry over the
+        # denominator of the state it reaches) or to 1 within rounding
+        # (float); the last row loses the clipped up-move out of state N - 1
         params, N = ModelParams(*ab), 300
-        (diag, sup, sub), den = chain_module._scaled_bands(N, params, engine)
+        bands, den = chain_module._scaled_bands(N, params, engine)
+        if engine == "exact":
+            bands = fraction_bands(bands, den)
+        diag, sup, sub = bands
         sums = diag.copy()
         sums[:-1] += sup
         sums[1:] += sub
         last = 1 - step_coefficients(N - 1, params, engine).up
         if engine == "exact":
-            assert all(s == den for s in sums[:-1])
-            assert F(sums[-1], den) == last
+            assert all(s == 1 for s in sums[:-1])
+            assert sums[-1] == last
         else:
             assert den == 1
             assert max(abs(sums[:-1] - 1)) <= 2.3e-16
             assert sums[-1] == pytest.approx(last, abs=2.3e-16)
+
+    @pytest.mark.parametrize("ab", [(0, 0), (3, 5), (6, 6)])
+    def test_exact_entries_have_logarithmic_size(self, ab):
+        # state k's denominator divides a few factors near 2k + a + b, so no
+        # entry grows with the window: the largest has 39 bits at N = 401,
+        # where one lcm over the whole window has 1155
+        params = ModelParams(*ab)
+        for N in (2, 50, 401, 2001):
+            bound = 4 * (2 * N + sum(ab) + 3).bit_length() + 2
+            for first in (0, N // 2, N - 1):
+                bands, den = chain_module._scaled_bands(N, params, "exact", first)
+                assert max(int(v).bit_length() for v in np.hstack((*bands, den))) <= bound
+        # with no gcd over the whole row, the row's scale still keeps within
+        # twice the bits of its reduced denominator
+        nums, scale = chain_module._power_row(400, 0, range(401), params, "exact")
+        reduced = math.lcm(*(F(n, scale).denominator for n in nums))
+        assert scale.bit_length() <= 2 * reduced.bit_length()
 
 
 class TestMatrixPower:
@@ -202,11 +234,13 @@ class TestMatrixPower:
         for ab, t, i in product([(0, 0), (3, 5), (6, 2)], [0, 1, 3, 10, 40], [0, 2, 7, 50]):
             params = ModelParams(*ab)
             bands, den = chain_module._scaled_bands(i + t + 1, params, engine)
+            if engine == "exact":
+                bands = fraction_bands(bands, den)
             mass = np.zeros(i + t + 1, dtype=bands[0].dtype)
             mass[i] = 1
             for _ in range(t):
                 mass = chain_module._banded_step(mass, *bands)
-            want = _ratios(mass, den**t, engine).tolist()
+            want = _ratios(mass, 1, engine).tolist()
             got = matrix_power_row(t, i, i + t, params, engine)
             if engine == "float":
                 got, want = [v.hex() for v in got], [v.hex() for v in want]
@@ -214,9 +248,9 @@ class TestMatrixPower:
 
     @pytest.mark.parametrize("a", range(7))
     def test_integer_bands_match_fraction_propagation(self, a):
-        # integer bands over one denominator against Fraction masses stepped
-        # by loop_step: this checks the integer scaling and the gcd
-        # cancellation against the independent list loop.  40 states hold
+        # integer bands over per-state denominators against Fraction masses
+        # stepped by loop_step: this checks the integer scaling and each
+        # state's cancellation against the independent list loop.  40 states hold
         # every state reachable in 30 steps from i <= 8 below the clipped
         # last row.
         for b, i in product(range(7), range(9)):
@@ -447,3 +481,37 @@ class TestStationarity:
     def test_rejects_tiny_truncation(self):
         with pytest.raises(ValueError):
             stationarity_residuals(1, ModelParams(0, 0))
+
+
+def band_mismatches(t, i, params):
+    """Columns of the band i-t..i+t where the exact banded and exact
+    spectral rows differ."""
+    banded = matrix_power_row(t, i, i + t, params, "exact")
+    spectral = spectral_transition_row(t, i, params, i + t, "exact")
+    return [j for j, (mp, km) in enumerate(zip(banded, spectral)) if mp != km]
+
+
+class TestLongHorizons:
+    """The two exact routes far past the t <= 40 of the whole-row grid."""
+
+    @pytest.mark.parametrize("ab", [(0, 0), (3, 5), (6, 6)])
+    def test_exact_routes_agree_over_the_whole_band(self, ab):
+        # i = 101 steps a window that starts above state 0
+        for t, i in ((100, 0), (100, 101), (400, 0)):
+            assert band_mismatches(t, i, ModelParams(*ab)) == [], (t, i)
+
+    def test_a_planted_denominator_fails_the_comparison(self, monkeypatch):
+        # state 40 of the window claims twice its denominator
+        scaled_bands = chain_module._scaled_bands
+
+        def planted(N, params, engine, first=0):
+            bands, den = scaled_bands(N, params, engine, first)
+            den[40] *= 2
+            return bands, den
+
+        monkeypatch.setattr(chain_module, "_scaled_bands", planted)
+        assert band_mismatches(100, 0, ModelParams(3, 5))
+
+    @pytest.mark.parametrize("ab", [(0, 0), (3, 5), (6, 6)])
+    def test_exact_residuals_vanish_on_a_long_truncation(self, ab):
+        assert not any(stationarity_residuals(4001, ModelParams(*ab), "exact")[1])
