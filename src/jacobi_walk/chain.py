@@ -62,13 +62,7 @@ from fractions import Fraction
 import numpy as np
 
 from .model import ModelParams, NumericalError, check_engine, check_int
-from .polynomials import (
-    _invariant_numerators,
-    _law_table,
-    _ratios,
-    _step_table,
-    invariant_measure_table,
-)
+from .polynomials import _invariant_terms, _law_table, _ratios, _step_table
 from .integrate import _exact_spectral_terms, _float_spectral_cells
 
 __all__ = [
@@ -230,16 +224,13 @@ def spectral_transition_row(t, i, params: ModelParams, j_max, engine: str = "flo
 def _residual_terms(N: int, params: ModelParams, engine: str) -> tuple:
     """((pi, S), (errors, scaled)): ``stationarity_residuals`` as numerators.
 
-    pi_n = pi[n] / S, and residual n = errors[n] / scaled[n].  Exact mode
-    steps pi's integer numerators p_n over the integer bands, which put
-    state n's flow over its own denominator den_n, so the residual is
-    |flow_n - den_n p_n| / (den_n p_n); float mode has S = den = 1.
+    pi_n = pi[n] / S from ``_invariant_terms``, and residual n =
+    errors[n] / scaled[n].  One banded step of pi's numerators over the
+    bands of ``_scaled_bands`` puts state n's flow over its own denominator
+    den_n, so the residual is |flow_n - den_n pi[n]| / (den_n pi[n]): exact
+    integers, or floats with S = den = 1.
     """
-    if engine == "exact":
-        pi, scale = _invariant_numerators(N - 1, params)
-    else:
-        pi, scale = invariant_measure_table(N - 1, params, engine), 1
-    measure = np.array(pi, dtype=object if engine == "exact" else float)
+    measure, scale = _invariant_terms(N - 1, params, engine)
     bands, den = _scaled_bands(N, params, engine)
     # a float overflow leaves inf or nan for the caller to check
     with np.errstate(all="ignore"):

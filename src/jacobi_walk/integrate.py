@@ -72,13 +72,12 @@ from .model import ModelParams, NumericalError, check_engine, check_int
 from .polynomials import (
     _coefficient_numerators,
     _common_denominator,
-    _invariant_numerators,
+    _invariant_terms,
     _inverse_mass,
     _ratios,
     _rising,
     _step_table,
     _three_term_sweep,
-    invariant_measure_table,
     total_mass,
 )
 
@@ -162,6 +161,10 @@ def _exact_spectral_terms(t: int, rows, cols, params: ModelParams) -> tuple[list
     """pi_j * integral(x**t Q_i Q_j W) / total_mass for i in rows, j in cols,
     as lists of integer numerators and denominators in row-major order.
 
+    rows and cols ascend, so cols[-1] is the largest degree; pi's numerators
+    p_0..p_{cols[-1]} come off ``_invariant_terms`` first, whose array
+    numpy sizes before any other table is formed.
+
     In powers of 1 - x, Q_n(x) = 2F1(-n, n+a+b+1; b+1; 1-x) (DLMF 18.5.7
     and the symmetry P_n^(a,b)(-z) = (-1)^n P_n^(b,a)(z) of DLMF 18.6.1), so
     its coefficients are N_nk / N_n0, N_nk the closed-form numerators at
@@ -177,10 +180,11 @@ def _exact_spectral_terms(t: int, rows, cols, params: ModelParams) -> tuple[list
     Hankel matrix of the nu_m.
     """
     a, b = params.require_integral("engine='exact'")
-    degree = max(cols)
-    tops, bottom = _normalized_moments(max(rows) + degree, b, a + t)
+    degree = cols[-1]
+    # a list: each cell reads one entry, which a list returns faster
+    pi = _invariant_terms(degree, params, "exact")[0].tolist()
+    tops, bottom = _normalized_moments(rows[-1] + degree, b, a + t)
     poly = {n: _coefficient_numerators(n, b, a)[0] for n in {*rows, *cols}}
-    pi = _invariant_numerators(degree, params)[0]
     scale = _inverse_mass(a + t, b) * bottom
     nums, dens = [], []
     for i in rows:
@@ -535,8 +539,9 @@ def _float_spectral_cells(t: int, rows, cols, params: ModelParams, order: int) -
     The float twin of ``_exact_spectral_terms``, on the Gauss rule of the
     given order: one long-double ``_orthonormal_sweep`` tabulates
     p_n = Q_n / norm(Q_n) at the nodes, and the cells are the block
-    (p_rows * w x**t) @ p_cols^T times sqrt(pi_j / pi_i), read off the float
-    pi table: the weight's mass cancels from norm_n = total_mass / pi_n.
+    (p_rows * w x**t) @ p_cols^T times sqrt(pi_j / pi_i), pi read off
+    ``_invariant_terms``: the weight's mass cancels from
+    norm_n = total_mass / pi_n.
     Cells with j >> i divide near-cancelled dust by a polynomially small
     norm; accumulating in np.longdouble and rounding to double once gains
     an order of magnitude there, where that type is wider than double.
@@ -547,7 +552,7 @@ def _float_spectral_cells(t: int, rows, cols, params: ModelParams, order: int) -
     """
     rows, cols = np.asarray(rows), np.asarray(cols)
     degree = int(max(rows.max(), cols.max()))
-    pi = np.array(invariant_measure_table(degree, params), dtype=np.longdouble)
+    pi = _invariant_terms(degree, params, "float")[0].astype(np.longdouble)
     rule = gauss_jacobi_rule(order, params)
     nodes = rule.nodes.astype(np.longdouble)
     diag, off, mass = _symmetrized_recurrence(degree, params)

@@ -12,10 +12,13 @@ of a birth-and-death walk on the nonnegative integers: down_n is the
 probability of moving from n to n-1, stay_n of staying, up_n of moving to
 n+1.  down_0 = 0, so the walk never leaves the state space.
 
-The law's numerators and denominators are written once, in ``_law_terms``,
-and tabulated over states by ``_law_table``; ``step_coefficients`` divides
-them at one state and ``_step_table`` over the table by ``_ratios``, the
-one converter of numerator and denominator tables: Fraction or binary64.
+Two per-state tables have one core each, shared by both engines, which
+returns numerators over denominators: the law, written once in
+``_law_terms`` and tabulated over states by ``_law_table``, and the
+invariant measure pi, tabulated by ``_invariant_terms`` over one scale.
+``step_coefficients`` divides the law at one state, and ``_step_table``
+and ``invariant_measure_table`` divide the tables, by ``_ratios``, the one
+converter of numerator and denominator tables: Fraction or binary64.
 """
 
 from __future__ import annotations
@@ -284,48 +287,55 @@ def total_mass(params: ModelParams, engine: str = "float"):
     return math.exp(math.lgamma(a + 1) + math.lgamma(b + 1) - math.lgamma(a + b + 2))
 
 
-def _invariant_numerators(n_max: int, params: ModelParams) -> tuple[list[int], int]:
-    """Integers p_0..p_{n_max} and S with pi_i = p_i / S: the exact closed form."""
-    a, b = params.require_integral("engine='exact'")
-    return [
-        (2 * i + a + b + 1) * math.comb(i + b, b) * math.comb(i + a + b, b)
-        for i in range(n_max + 1)
-    ], _inverse_mass(a, b)
+def _invariant_terms(n_max, params: ModelParams, engine: str) -> tuple:
+    """(numerators, scale) of pi_0..pi_{n_max}, each pi_i = numerators[i] / scale.
 
+    The invariant measure's one formula for both engines, an ndarray from
+    the start, so numpy refuses a size past its limit before any entry is
+    formed.  Exact: the closed form
 
-def invariant_measure_table(n_max, params: ModelParams, engine: str = "float") -> list:
-    """Invariant measure pi_0..pi_{n_max} of the walk, normalized so pi_0 = 1.
+        pi_i = (2i+a+b+1) C(i+b, b) C(i+a+b, b) / [(a+b+1) C(a+b, b)],
 
-    pi_i = norm_squared(0) / norm_squared(i); the walk is reversible with
-    respect to it.  For alpha = beta = 0 this is 2i + 1.  Neither engine
-    reads the recurrence coefficients, so checking pi P = pi against them
-    is not circular.
-
-    Exact mode uses the closed form
-
-        pi_i = (2i+a+b+1) C(i+b, b) C(i+a+b, b) / [(a+b+1) C(a+b, b)].
-
-    Float mode reads alpha and beta as binary64 and multiplies out a
-    telescoped product: pi_i is the prefactor (b+1)(2i+a+b+1)/(a+1) times
-    prod_{m=2..i} (b+m)(a+b+m) / [m(a+m)], one ``np.cumprod`` of the
-    factors in order of m.  Its factors are all safely sized and all
-    denominators stay positive down to a, b > -1, so no large-Gamma
-    cancellation occurs and the relative error stays at a few ulps per
-    factor.  The (a+b+1) prefactor of the raw telescoping is cancelled into
-    the m = 1 term, keeping a + b = -1 finite.  Exponents whose products
-    leave the double range yield inf or nan entries for the caller to check.
+    integers in an object array over S = (a+b+1) C(a+b, b).  Float: alpha
+    and beta as binary64 and a telescoped product over 1: pi_i is the
+    prefactor (b+1)(2i+a+b+1)/(a+1) times prod_{m=2..i} (b+m)(a+b+m) /
+    [m(a+m)], one ``np.cumprod`` of the factors in order of m.  Its factors
+    are all safely sized and all denominators stay positive down to
+    a, b > -1, so no large-Gamma cancellation occurs and the relative error
+    stays at a few ulps per factor.  The (a+b+1) prefactor of the raw
+    telescoping is cancelled into the m = 1 term, keeping a + b = -1 finite.
+    Exponents whose products leave the double range yield inf or nan
+    entries for the caller to check.
     """
     n_max = check_int(n_max, "n_max")
-    check_engine(engine)
-    if engine == "exact":
-        return _ratios(*_invariant_numerators(n_max, params), engine).tolist()
+    if check_engine(engine) == "exact":
+        a, b = params.require_integral("engine='exact'")
+        pi = np.empty(n_max + 1, dtype=object)  # numpy sizes it before any entry
+        pi[:] = [
+            (2 * i + a + b + 1) * math.comb(i + b, b) * math.comb(i + a + b, b)
+            for i in range(n_max + 1)
+        ]
+        return pi, _inverse_mass(a, b)
     a, b = params.require_float()
     m = np.arange(1.0, n_max + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         ratio = (b + m) * (a + b + m) / (m * (a + m))
         ratio[:1] = 1.0  # the m = 1 factor sits in the prefactor
         pi = (b + 1) * (2 * m + a + b + 1) / (a + 1) * np.cumprod(ratio)
-    return [1.0, *pi.tolist()]
+    return np.concatenate(([1.0], pi)), 1
+
+
+def invariant_measure_table(n_max, params: ModelParams, engine: str = "float") -> list:
+    """Invariant measure pi_0..pi_{n_max} of the walk, normalized so pi_0 = 1.
+
+    pi_i = norm_squared(0) / norm_squared(i); the walk is reversible with
+    respect to it.  For alpha = beta = 0 this is 2i + 1.  The terms of
+    ``_invariant_terms`` divided by ``_ratios``: Fractions from the exact
+    closed form, or floats from the telescoped product.  Neither engine
+    reads the recurrence coefficients, so checking pi P = pi against them
+    is not circular.
+    """
+    return _ratios(*_invariant_terms(n_max, params, engine), engine).tolist()
 
 
 def invariant_measure(i, params: ModelParams, engine: str = "float"):

@@ -27,6 +27,7 @@ from jacobi_walk import (
     step_coefficients,
 )
 import jacobi_walk.chain as chain_module
+import jacobi_walk.integrate as integrate_module
 from jacobi_walk.polynomials import _ratios
 
 F = Fraction
@@ -481,6 +482,47 @@ class TestStationarity:
     def test_rejects_tiny_truncation(self):
         with pytest.raises(ValueError):
             stationarity_residuals(1, ModelParams(0, 0))
+
+
+class TestPlantedInvariantMeasure:
+    """pi P = pi is not a circular check: pi has its own core, which reads no
+    law, so one wrong pi entry shows in the residuals and in the km cells
+    that read it."""
+
+    STATE = 5
+
+    def plant(self, monkeypatch, change):
+        invariant_terms = chain_module._invariant_terms
+
+        def planted(n_max, params, engine):
+            nums, scale = invariant_terms(n_max, params, engine)
+            if n_max >= self.STATE:
+                nums[self.STATE] = change(nums[self.STATE])
+            return nums, scale
+
+        for module in (chain_module, integrate_module):
+            monkeypatch.setattr(module, "_invariant_terms", planted)
+
+    @pytest.mark.parametrize("ab", [(0, 0), (3, 5)])
+    def test_one_wrong_exact_numerator_shows(self, monkeypatch, ab):
+        params = ModelParams(*ab)
+        row = spectral_transition_row(4, 3, params, 8, "exact")
+        assert not any(stationarity_residuals(12, params, "exact")[1])
+        self.plant(monkeypatch, lambda p: p + 1)
+        assert stationarity_residuals(12, params, "exact")[1][self.STATE] != 0
+        moved = spectral_transition_row(4, 3, params, 8, "exact")
+        assert [j for j in range(9) if moved[j] != row[j]] == [self.STATE]
+
+    @pytest.mark.parametrize("ab", [(0, 0), (3, 5)])
+    def test_one_float_entry_off_by_1e_9_shows(self, monkeypatch, ab):
+        params = ModelParams(*ab)
+        row = spectral_transition_row(4, 3, params, 8)
+        assert stationarity_residuals(12, params)[1][self.STATE] < 1e-14
+        self.plant(monkeypatch, lambda p: p * (1 + 1e-9))
+        assert stationarity_residuals(12, params)[1][self.STATE] > 1e-10
+        # cell j carries sqrt(pi_j / pi_i), so it moves by half the plant
+        moved = spectral_transition_row(4, 3, params, 8)
+        assert 4e-10 < moved[self.STATE] / row[self.STATE] - 1 < 6e-10
 
 
 def band_mismatches(t, i, params):

@@ -898,6 +898,16 @@ class TestTableTooLargeForNumpy:
             assert err.count("\n") == 1 and err.endswith("\n")
         assert not target.exists()
 
+    @pytest.mark.parametrize("argv", [f"stationary --n-max {HUGE}", f"orthocheck --i-max {HUGE}"])
+    def test_exact_pi_table_is_refused_before_integer_work(self, argv):
+        # pi's numerators are numpy's array from the start, so numpy sizes the
+        # table before Python forms one integer; a run that loops over the
+        # states instead is killed by the timeout and fails here
+        result = run_module(*argv.split(), "--engine", "exact", timeout=10)
+        assert (result.returncode, result.stdout) == (3, "")
+        assert result.stderr.startswith("jacobi-walk: out of memory: array is too big")
+        assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
+
 
 class TestSizeFlagBound:
     # past 2^62 a size flag is an argument error: near 2^63 numpy's arange

@@ -42,7 +42,7 @@ from jacobi_walk.integrate import (
     _orthonormal_sweep,
     _symmetrized_recurrence,
 )
-from jacobi_walk.polynomials import _coefficient_numerators, _invariant_numerators
+from jacobi_walk.polynomials import _coefficient_numerators, _invariant_terms
 
 F = Fraction
 
@@ -639,7 +639,7 @@ def monomial_spectral_terms(t, rows, cols, params):
     degree = max(cols)
     tops, bottom = _normalized_moments(t + max(rows) + degree, a, b)
     poly = {n: _coefficient_numerators(n, a, b) for n in {*rows, *cols}}
-    pi, scale = _invariant_numerators(degree, params)
+    pi, scale = _invariant_terms(degree, params, "exact")
     nums, dens = [], []
     for i in rows:
         nums_i, den_i = poly[i]
